@@ -4,6 +4,14 @@ Small by design: exactly the operations the classifiers need, each with a
 hand-written backward rule. Recording is explicit: ops append their backward
 rule to the active `Tape`; without an active tape, ops are plain numpy
 evaluations and produce constants.
+
+Gradients of leaf tensors (those not made by an op, such as parameters) are
+complete only when `Tape.backward` returns. During the reverse replay the
+rules of `affine` and `conv1d_same` queue the factors of their leaf weight's
+gradient instead of adding a full-size product per call; once the replay
+ends, `backward` sums each weight's queue with one matrix product. Op outputs
+and non-leaf weights are updated immediately, so every rule still reads a
+complete gradient for its own output.
 """
 
 from __future__ import annotations
@@ -22,15 +30,17 @@ class Tensor:
 
     `grad` is a same-shape buffer present iff `requires_grad`; backward rules
     accumulate into it. Tensors built outside an active tape (or from inputs
-    with `requires_grad=False`) are constants.
+    with `requires_grad=False`) are constants. `is_leaf` is False exactly for
+    op outputs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "is_leaf")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self.grad = np.zeros(self.data.shape) if self.requires_grad else None
+        self.is_leaf = True
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -57,7 +67,9 @@ def _active_tape():
 class Tape:
     """Ordered record of operations; replaying the rules in reverse applies
     the chain rule. One tape per training step, single-threaded; call
-    `backward` at most once per recording.
+    `backward` at most once per recording. A leaf's `.grad` is complete only
+    when `backward` returns: queued weight gradients are summed after the
+    replay.
 
         with Tape() as tape:
             loss = ...
@@ -89,8 +101,16 @@ class Tape:
         if loss.data.shape != ():
             raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
         loss.grad.fill(1.0)
-        for rule in reversed(self._rules):
-            rule()
+        # The queue lives on the thread, not the tape: a rule that reached its
+        # tape would make a tape <-> rules cycle only the cyclic GC frees.
+        _ACTIVE.pending = pending = {}
+        try:
+            for rule in reversed(self._rules):
+                rule()
+            for (sum_into, weight), factors in pending.items():
+                sum_into(weight.grad, factors)
+        finally:
+            _ACTIVE.pending = None
 
 
 def zero_grads(tensors):
@@ -103,7 +123,45 @@ def _out(data, *inputs) -> tuple[Tensor, Tape | None]:
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
+    out.is_leaf = False
     return out, (tape if track else None)
+
+
+def _defer(sum_into, weight: Tensor, factors):
+    """From a rule: queue `factors` of a leaf weight's gradient for `backward`
+    to sum once the replay ends; a non-leaf weight is updated now, since its
+    own rule will read its gradient. `sum_into(grad, [factors, ...])` adds it."""
+    if weight.is_leaf:
+        _ACTIVE.pending.setdefault((sum_into, weight), []).append(factors)
+    else:
+        sum_into(weight.grad, [factors])
+
+
+def _affine_weight_grad(grad, factors):
+    """grad += sum of outer(g, x) over (g, x) pairs, as one (m,B)@(B,k) product."""
+    gs, xs = zip(*factors)
+    grad += np.stack(gs).T @ np.stack(xs)
+
+
+def _conv_filters_grad(grad, factors):
+    """grad[j] += sum over (padded, g) pairs and positions t of
+    outer(padded[t + j], g[t]).
+
+    P stacks the zero-padded inputs (n + w - 1 rows each); Gz stacks the
+    output gradients (n rows each), each followed by w - 1 zero rows, so both
+    share row offsets and tap j is the single product P[j:j+R].T @ Gz[:R]. The
+    zero rows keep one example's gradient off the next example's input.
+    """
+    w = grad.shape[0]
+    P = np.concatenate([padded for padded, _ in factors])
+    Gz = np.zeros((P.shape[0], grad.shape[2]))
+    start = 0
+    for padded, g in factors:
+        Gz[start:start + g.shape[0]] = g
+        start += padded.shape[0]
+    R = P.shape[0] - (w - 1)
+    for j in range(w):
+        grad[j] += P[j:j + R].T @ Gz[:R]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +215,7 @@ def affine(weight: Tensor, x: Tensor, bias: Tensor) -> Tensor:
         def rule(out=out, weight=weight, x=x, bias=bias):
             g = out.grad
             if weight.requires_grad:
-                weight.grad += np.outer(g, x.data)
+                _defer(_affine_weight_grad, weight, (g, x.data))
             if x.requires_grad:
                 x.grad += weight.data.T @ g
             if bias.requires_grad:
@@ -223,16 +281,19 @@ def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     out, tape = _out(col @ w_mat + bias.data, seq, filters, bias)
     if tape is not None:
         def rule(out=out, seq=seq, filters=filters, bias=bias,
-                 col=col, w_mat=w_mat, idx=idx, left=left, n=n, w=w, d_in=d_in, f=f):
+                 padded=padded, w_mat=w_mat, left=left, n=n, w=w, d_in=d_in):
             g = out.grad
             if bias.requires_grad:
                 bias.grad += g.sum(axis=0)
             if filters.requires_grad:
-                filters.grad += (col.T @ g).reshape(w, d_in, f)
+                _defer(_conv_filters_grad, filters, (padded, g))
             if seq.requires_grad:
                 dcol = (g @ w_mat.T).reshape(n, w, d_in)
                 dpad = np.zeros((n + w - 1, d_in))
-                np.add.at(dpad, idx, dcol)
+                # Descending taps add to each row in np.add.at's order, so
+                # the sum is bitwise the same.
+                for j in range(w - 1, -1, -1):
+                    dpad[j:j + n] += dcol[:, j]
                 seq.grad += dpad[left:left + n]
         tape._record(rule)
     return out

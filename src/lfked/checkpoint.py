@@ -70,27 +70,31 @@ def save_checkpoint(model, path, emb_path=None):
         f.write("\n")
 
 
-def _resolve_embeddings(doc: dict, emb: EmbeddingTable | None) -> EmbeddingTable:
+def _resolve_embeddings(doc: dict, emb: EmbeddingTable | None,
+                        emb_path=None) -> EmbeddingTable:
     meta = doc["embeddings"]
     if emb is None:
-        if not meta["path"]:
+        path = emb_path or meta["path"]
+        if not path:
             raise ValueError(
                 "checkpoint stores no embedding path; pass the embedding table"
             )
-        emb = load_embeddings(meta["path"], meta["dim"],
+        emb = load_embeddings(path, meta["dim"],
                               oov_policy=meta["oov_policy"], seed=meta["seed"])
     if emb.dim != meta["dim"]:
         raise ValueError(f"embedding dim {emb.dim} != checkpoint dim {meta['dim']}")
     return emb
 
 
-def load_checkpoint(path, emb: EmbeddingTable | None = None):
-    """Rebuild the saved model; pass emb to reuse an already-loaded table."""
+def load_checkpoint(path, emb: EmbeddingTable | None = None, emb_path=None):
+    """Rebuild the saved model. Pass emb to reuse an already-loaded table, or
+    emb_path to read the vectors from another file than the stored one; either
+    way a loaded table gets the checkpoint's OOV policy and seed."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a checkpoint file (format {doc.get('format')!r})")
-    emb = _resolve_embeddings(doc, emb)
+    emb = _resolve_embeddings(doc, emb, emb_path)
 
     if doc["kind"] == "cnn":
         raw = dict(doc["config"])

@@ -319,11 +319,7 @@ def cmd_eval(args) -> int:
     data = load_dataset(args.data)
     if not data:
         raise ValueError(f"{args.data}: dataset is empty")
-    emb = None
-    if args.embeddings:
-        dim = _embedding_dim(args.embeddings)
-        emb = load_embeddings(args.embeddings, dim)
-    model = load_checkpoint(args.checkpoint, emb=emb)
+    model = load_checkpoint(args.checkpoint, emb_path=args.embeddings)
     report = evaluate(model, data)
     if args.json:
         print(report_json(report))
@@ -422,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="checkpoint file")
     p.add_argument("--data", required=True, help="dataset JSONL")
     p.add_argument("--embeddings",
-                   help="embedding file (default: path stored in checkpoint)")
+                   help="embedding file (default: path stored in checkpoint); "
+                        "read with the checkpoint's OOV policy and seed")
     p.add_argument("--json", action="store_true", help="print JSON instead of text")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_eval)

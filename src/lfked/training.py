@@ -29,6 +29,10 @@ class Adadelta:
     Per step: E[g2] <- rho E[g2] + (1-rho) g2; dx = -sqrt(E[dx2]+eps) /
     sqrt(E[g2]+eps) * g with the previous E[dx2]; E[dx2] <- rho E[dx2] +
     (1-rho) dx2; param += lr * dx.
+
+    The step runs in place, through two scratch buffers sized to the largest
+    parameter and shared by all of them, in the same operation order as the
+    formula above, so no parameter-sized temporaries are allocated per step.
     """
 
     def __init__(self, params: dict[str, Tensor], rho: float = 0.95,
@@ -43,20 +47,35 @@ class Adadelta:
         self.lr = lr
         self.sq_grad = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.sq_delta = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._scratch = np.empty((2, max((p.data.size for p in self.params.values()),
+                                         default=0)))
 
     def step(self):
+        rho, eps, lr = self.rho, self.eps, self.lr
         for name, p in self.params.items():
             if p.grad is None:
                 raise RuntimeError(f"parameter {name!r} has no gradient buffer")
             g = p.grad
             eg = self.sq_grad[name]
             ed = self.sq_delta[name]
-            eg *= self.rho
-            eg += (1.0 - self.rho) * g * g
-            dx = -np.sqrt(ed + self.eps) / np.sqrt(eg + self.eps) * g
-            ed *= self.rho
-            ed += (1.0 - self.rho) * dx * dx
-            p.data += self.lr * dx
+            a, b = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+            eg *= rho
+            np.multiply(1.0 - rho, g, out=a)
+            a *= g
+            eg += a                                   # eg += (1-rho) * g * g
+            np.add(ed, eps, out=a)
+            np.sqrt(a, out=a)
+            np.negative(a, out=a)
+            np.add(eg, eps, out=b)
+            np.sqrt(b, out=b)
+            a /= b
+            a *= g                                    # a = dx
+            ed *= rho
+            np.multiply(1.0 - rho, a, out=b)
+            b *= a
+            ed += b                                   # ed += (1-rho) * dx * dx
+            np.multiply(lr, a, out=b)
+            p.data += b                               # param += lr * dx
 
 
 @dataclass

@@ -133,13 +133,89 @@ def test_conv_even_window_pads_right():
 
 
 def test_conv_gradcheck_all_inputs():
+    # (n, w) = (1, 5) and (2, 4): sequences shorter than the window
     rng = np.random.default_rng(2)
-    check_grads(
-        ad.conv1d_same,
-        rng.uniform(-2, 2, (5, 3)),
-        rng.uniform(-2, 2, (2, 3, 4)),
-        rng.uniform(-2, 2, 4),
-    )
+    for n, w in [(5, 2), (1, 5), (2, 4)]:
+        check_grads(
+            ad.conv1d_same,
+            rng.uniform(-2, 2, (n, 3)),
+            rng.uniform(-2, 2, (w, 3, 4)),
+            rng.uniform(-2, 2, 4),
+        )
+
+
+@pytest.mark.parametrize("n,w", [(1, 5), (2, 4), (9, 5), (30, 2), (4, 1)])
+def test_conv_input_gradient_is_bitwise_the_scatter_add(n, w):
+    # Reference: scatter each window's input gradient back with np.add.at.
+    rng = np.random.default_rng(n * 10 + w)
+    d, f = 3, 4
+    seq = Tensor(rng.uniform(-2, 2, (n, d)), requires_grad=True)
+    filters = rng.uniform(-2, 2, (w, d, f))
+    with Tape() as tape:
+        out = ad.conv1d_same(seq, Tensor(filters), Tensor(np.zeros(f)))
+        loss = ad.mean(ad.mul(out, Tensor(rng.uniform(-2, 2, (n, f)))))
+    tape.backward(loss)
+    left = (w - 1) // 2
+    idx = np.arange(n)[:, None] + np.arange(w)[None, :]
+    dcol = (out.grad @ filters.reshape(w * d, f).T).reshape(n, w, d)
+    dpad = np.zeros((n + w - 1, d))
+    np.add.at(dpad, idx, dcol)
+    np.testing.assert_array_equal(seq.grad, dpad[left:left + n])
+
+
+def test_conv_backward_repeated_filters_sum_over_calls():
+    # One leaf filter bank applied to sequences of several lengths in one
+    # tape: its gradient is summed after the replay, across all calls.
+    rng = np.random.default_rng(3)
+    seqs = [rng.uniform(-2, 2, (n, 3)) for n in (1, 4, 2)]
+    filters = rng.uniform(-2, 2, (4, 3, 2))
+    bias = rng.uniform(-2, 2, 2)
+
+    def loss_of(filt):
+        total = ad.mean(ad.tanh(ad.conv1d_same(Tensor(seqs[0]), filt, Tensor(bias))))
+        for s in seqs[1:]:
+            total = ad.add(total, ad.mean(ad.tanh(ad.conv1d_same(Tensor(s), filt, Tensor(bias)))))
+        return total
+
+    tf = Tensor(filters, requires_grad=True)
+    with Tape() as tape:
+        loss = loss_of(tf)
+    tape.backward(loss)
+    numeric = central_diff(lambda: loss_of(Tensor(filters)).item(), filters)
+    assert max_rel_error(tf.grad, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("op", ["affine", "conv1d_same"])
+def test_non_leaf_weight_gradient(op):
+    # A weight computed by another op is not a leaf: its gradient must be
+    # complete before the rule of the op that made it runs.
+    rng = np.random.default_rng(4)
+    if op == "affine":
+        w_shape, x, b = (3, 4), rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 3)
+    else:
+        w_shape, x, b = (3, 2, 4), rng.uniform(-2, 2, (5, 2)), rng.uniform(-2, 2, 4)
+    raw = rng.uniform(-2, 2, w_shape)
+    fn = getattr(ad, op)
+
+    def loss_of(weight):
+        made = ad.tanh(weight)
+        args = (made, Tensor(x), Tensor(b)) if op == "affine" else (Tensor(x), made, Tensor(b))
+        return ad.add(ad.mean(fn(*args)), ad.mean(fn(*args)))
+
+    tw = Tensor(raw, requires_grad=True)
+    with Tape() as tape:
+        loss = loss_of(tw)
+    tape.backward(loss)
+    numeric = central_diff(lambda: loss_of(Tensor(raw)).item(), raw)
+    assert max_rel_error(tw.grad, numeric) < 1e-6
+
+
+def test_op_outputs_are_not_leaves():
+    x = Tensor(np.ones(2), requires_grad=True)
+    assert x.is_leaf
+    with Tape():
+        y = ad.tanh(x)
+    assert not y.is_leaf
 
 
 # ---------------------------------------------------------------------------

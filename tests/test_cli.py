@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from lfked.checkpoint import load_checkpoint, save_checkpoint
 from lfked.cli import main
 from lfked.corpus import load_dataset
 
@@ -322,6 +323,41 @@ def test_eval_json_report_and_out_file(synth_dir, data_dir, run_dir, tmp_path, c
     saved = json.loads(report_path.read_text())
     assert printed == saved
     assert {"tp", "fp", "fn", "precision", "recall", "f1"} <= set(printed)
+
+
+def test_eval_embeddings_override_keeps_checkpoint_oov_seed(
+        synth_dir, data_dir, tmp_path, capsys):
+    # Every token of the scored set is unknown to the embedding file, so each
+    # gets its OOV vector from the seed the checkpoint stores (5, not 0).
+    out = tmp_path / "run"
+    emb_path = synth_dir / "embeddings.txt"
+    assert run_cli("train", "--model", "concat", "--data-dir", data_dir,
+                   "--embeddings", emb_path, "--out", out,
+                   *TINY_NET, "--seed", 5) == 0
+    # Trained this briefly, the model says "positive" whatever the input. With
+    # its biases zeroed, each prediction turns on the (keyword) vectors.
+    model = load_checkpoint(out / "model.ckpt")
+    assert model.emb.seed == 5
+    for name, p in model.params.items():
+        if name.endswith((".b", ".bias")):
+            p.data[:] = 0.0
+    save_checkpoint(model, out / "model.ckpt", emb_path=emb_path)
+    unseen = tmp_path / "unseen.jsonl"
+    with open(unseen, "w", encoding="utf-8") as f:
+        for split in ("train", "dev", "test"):
+            for ex in load_dataset(data_dir / f"{split}.jsonl"):
+                f.write(json.dumps({
+                    "tokens": [f"oov_{t}" for t in ex.tokens], "anchor": ex.anchor,
+                    "keywords": [f"oov_{k}" for k in ex.keywords], "label": ex.label,
+                }) + "\n")
+    capsys.readouterr()
+    reports = []
+    for extra in ([], ["--embeddings", emb_path]):
+        assert run_cli("eval", "--checkpoint", out / "model.ckpt",
+                       "--data", unseen, "--json", *extra) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert 0 < reports[0]["tp"] + reports[0]["fp"] < 120    # not a constant model
+    assert reports[0] == reports[1]
 
 
 def test_eval_uses_embedding_path_from_checkpoint(data_dir, run_dir, capsys):

@@ -363,6 +363,56 @@ def test_word_table_gets_gradient_when_finetuning():
     assert "words.matrix" in model.named_params()
 
 
+def _batch_grads(model, batch, tape_size, seed=4):
+    """Summed gradients of one training step's loss, mean cross-entropy over
+    the batch with dropout on, recorded `tape_size` examples per tape."""
+    named = model.named_params()
+    ad.zero_grads(named.values())
+    rng = rng_for(seed, "dropout", 1)
+    scale = Tensor(1.0 / len(batch))
+    sums = {k: np.zeros(p.data.shape) for k, p in named.items()}
+    for start in range(0, len(batch), tape_size):
+        with Tape() as tape:
+            losses = [model.loss(ex, train=True, rng=rng)
+                      for ex in batch[start:start + tape_size]]
+            total = losses[0]
+            for loss in losses[1:]:
+                total = ad.add(total, loss)
+            tape.backward(ad.mul(total, scale))
+        for k, p in named.items():
+            sums[k] += p.grad
+            p.zero_grad()
+    return sums
+
+
+@pytest.mark.parametrize("variant", ["concat", "attention", "concat-cfa",
+                                     "attention-cfa", "finetune-words"])
+def test_batch_gradients_equal_sum_of_per_example_tapes(variant):
+    # Leaf weight gradients are summed once per backward over the whole batch;
+    # they must equal the sum of one-example tapes. Lengths 1 and 2 are shorter
+    # than window 5, and anchors sit at both sentence edges.
+    emb = tiny_emb()
+    batch = [
+        LFKExample([f"w{i % 12}" for i in range(n)], anchor, ("k0", "k1", "k2"), label)
+        for n, anchor, label in [(1, 0, 1), (2, 1, 0), (9, 0, 1), (9, 8, 0),
+                                 (30, 29, 1), (30, 0, 0)]
+    ]
+    config = tiny_config(windows=(2, 5), dropout=0.5)
+    words = None
+    if variant == "finetune-words":
+        words = WordTable(emb, [t for ex in batch for t in ex.tokens + list(ex.keywords)])
+    else:
+        config = config.with_variant(variant)
+    model = Model(config, emb, words=words)
+    batched = _batch_grads(model, batch, tape_size=len(batch))
+    single = _batch_grads(model, batch, tape_size=1)
+    assert batched.keys() == single.keys()
+    for name, ref in single.items():
+        assert np.abs(ref).sum() > 0, f"dead parameter {name}"
+        err = np.linalg.norm(batched[name] - ref) / np.linalg.norm(ref)
+        assert err <= 1e-12, f"{variant} {name}: relative error {err:.3e}"
+
+
 def test_embedding_dim_mismatch_rejected():
     with pytest.raises(ValueError, match="word_dim"):
         Model(tiny_config(word_dim=9), tiny_emb(dim=8))

@@ -1,11 +1,14 @@
 """Adadelta oracle checks and training-loop behavior."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from lfked import training
 from lfked.autodiff import Tape, Tensor
 from lfked.corpus import LFKExample
 from lfked.encoding import EmbeddingTable
@@ -85,6 +88,32 @@ def test_adadelta_step_is_pure_given_state():
         return p.data
 
     assert (run() == run()).all()
+
+
+def test_adadelta_in_place_step_is_bitwise_the_formula():
+    # Parameters of several sizes share the scratch buffers; each step must
+    # equal the update formula evaluated with fresh temporaries, bit for bit.
+    rng = rng_for(2, "ada")
+    shapes = {"a": (3, 4, 5), "b": (7,), "c": (20, 3)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    want = {k: p.data.copy() for k, p in params.items()}
+    eg = {k: np.zeros(s) for k, s in shapes.items()}
+    ed = {k: np.zeros(s) for k, s in shapes.items()}
+    rho, eps, lr = 0.95, 1e-6, 0.7
+    opt = Adadelta(params, rho=rho, eps=eps, lr=lr)
+    for _ in range(5):
+        for k, p in params.items():
+            g = rng.normal(size=shapes[k])
+            p.grad[...] = g
+            eg[k] *= rho
+            eg[k] += (1.0 - rho) * g * g
+            dx = -np.sqrt(ed[k] + eps) / np.sqrt(eg[k] + eps) * g
+            ed[k] *= rho
+            ed[k] += (1.0 - rho) * dx * dx
+            want[k] += lr * dx
+        opt.step()
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, want[k])
 
 
 def test_adadelta_missing_grad_contract():
@@ -281,3 +310,36 @@ def test_real_model_trains_one_epoch():
         not (model.named_params()[k].data == before[k]).all() for k in before
     )
     assert changed
+
+
+def test_step_tape_is_freed_by_reference_counting(monkeypatch):
+    # A tape <-> rule reference cycle would keep every step's tape and its
+    # activations alive until the cyclic GC runs.
+    refs, live_at_start = [], []
+
+    class TrackedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            live_at_start.append(sum(r() is not None for r in refs))
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(training, "Tape", TrackedTape)
+    rng = rng_for(0, "emb")
+    vocab = [f"w{i}" for i in range(8)] + [f"k{i}" for i in range(4)]
+    emb = EmbeddingTable({t: rng.normal(size=8) for t in vocab}, 8)
+    cfg = ModelConfig(head="attention", cfa=True, layers=1, windows=(2, 3), filters=3,
+                      dropout=0.5, word_dim=8, pos_dim=4, max_offset=5,
+                      attn_hidden=6, ffn_hidden=8, seed=2)
+    model = Model(cfg, emb)
+    data = [
+        LFKExample([f"w{i}" for i in range(5)], i % 5, ("k0", "k1", "k2", "k3"), i % 2)
+        for i in range(12)
+    ]
+    gc.disable()
+    try:
+        train(model, data, data, TrainConfig(batch_size=4, epochs=1, seed=5))
+        assert len(refs) == 3
+        assert max(live_at_start) <= 1   # only the previous step's, still bound
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
