@@ -14,6 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor, affine, cross_entropy
 from .encoding import EmbeddingTable, keyword_repr
+from .metrics import predicted_labels
 
 CONTEXT_RADIUS = 2
 
@@ -57,5 +58,11 @@ class LinearBaseline:
         return cross_entropy(self.forward(example), example.label)
 
     def predict(self, example) -> int:
-        logits = self.forward(example).data
-        return 1 if logits[1] > logits[0] else 0
+        return int(self.predict_batch([example])[0])
+
+    def predict_batch(self, examples) -> np.ndarray:
+        """Predicted labels (0/1, in order): one product of the stacked
+        feature vectors with the weights; an exact tie counts as negative."""
+        feats = np.array([featurize(ex, self.emb).vector for ex in examples])
+        feats = feats.reshape(len(examples), self.weights.data.shape[1])
+        return predicted_labels(feats @ self.weights.data.T + self.bias.data)

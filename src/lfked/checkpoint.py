@@ -5,6 +5,10 @@ kind ("cnn" or "baseline"), config, a reference to the embedding file (word
 vectors are not copied into the checkpoint), and every parameter tensor as
 shape + base64 of little-endian float64 bytes. The layout is byte-stable:
 saving the same state twice produces identical files.
+
+The embedding reference holds the file's path and, when a path was given at
+save time, its sha256. Loading reads the vectors from that path or from an
+override path, and refuses a file whose digest differs from the stored one.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .baseline import LinearBaseline
+from .corpus import sha256_file
 from .encoding import EmbeddingTable, WordTable, load_embeddings
 from .models import Model, ModelConfig
 
@@ -37,6 +42,7 @@ def _decode_array(entry: dict) -> np.ndarray:
 def _emb_meta(emb: EmbeddingTable, emb_path) -> dict:
     return {
         "path": str(emb_path) if emb_path else None,
+        "sha256": sha256_file(emb_path) if emb_path else None,
         "dim": emb.dim,
         "oov_policy": emb.oov_policy,
         "seed": emb.seed,
@@ -78,6 +84,12 @@ def _resolve_embeddings(doc: dict, emb: EmbeddingTable | None,
         if not path:
             raise ValueError(
                 "checkpoint stores no embedding path; pass the embedding table"
+            )
+        expected, actual = meta.get("sha256"), sha256_file(path)
+        if expected is not None and actual != expected:
+            raise ValueError(
+                f"embedding file {path} has sha256 {actual}, but the checkpoint "
+                f"was saved with an embedding file of sha256 {expected}"
             )
         emb = load_embeddings(path, meta["dim"],
                               oov_policy=meta["oov_policy"], seed=meta["seed"])

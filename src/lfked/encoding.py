@@ -132,9 +132,10 @@ class PositionTable:
 class WordTable:
     """Trainable word vectors over a fixed vocabulary, for --finetune-words.
 
-    Built from an EmbeddingTable so out-of-vocabulary tokens get their policy
-    vector as the starting point. Tokens outside the build vocabulary cannot
-    be encoded; collect the vocabulary from every dataset you will touch.
+    Built from an EmbeddingTable, so out-of-vocabulary tokens get their policy
+    vector as the starting point. A token outside the build vocabulary (say,
+    one first seen at evaluation) keeps its frozen vector from that table,
+    under the table's OOV policy, as a constant.
     """
 
     def __init__(self, emb: EmbeddingTable, vocab):
@@ -143,6 +144,7 @@ class WordTable:
             raise ValueError("word table needs a non-empty vocabulary")
         self.index = {t: i for i, t in enumerate(self.tokens)}
         self.dim = emb.dim
+        self.emb = emb
         self.matrix = Tensor(emb.rows(self.tokens), requires_grad=True)
 
     def row_indices(self, tokens) -> np.ndarray:
@@ -153,6 +155,18 @@ class WordTable:
                 f"token {e.args[0]!r} missing from the word table vocabulary"
             ) from e
 
+    def rows(self, tokens) -> Tensor:
+        """(len(tokens), dim) word vectors: trainable rows of the matrix, and
+        frozen-table constants for tokens outside the vocabulary."""
+        known = [i for i, t in enumerate(tokens) if t in self.index]
+        if len(known) == len(tokens):
+            return take_rows(self.matrix, self.row_indices(tokens))
+        unseen = [i for i, t in enumerate(tokens) if t not in self.index]
+        trained = take_rows(self.matrix, self.row_indices([tokens[i] for i in known]))
+        frozen = Tensor(self.emb.rows([tokens[i] for i in unseen]))
+        # row r of the stack belongs to token (known + unseen)[r]
+        return take_rows(concat([trained, frozen], axis=0), np.argsort(known + unseen))
+
 
 @dataclass
 class EncodedSentence:
@@ -160,19 +174,40 @@ class EncodedSentence:
     anchor: int
 
 
+def _check_anchor(anchor: int, n: int):
+    if not 0 <= anchor < n:
+        raise ValueError(f"anchor {anchor} outside 0..{n - 1}")
+
+
+def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Tensor:
+    """(len(tokens), emb.dim) word vectors, trainable when `words` is given."""
+    return Tensor(emb.rows(tokens)) if words is None else words.rows(tokens)
+
+
 def encode(tokens, anchor: int, emb: EmbeddingTable, pos: PositionTable,
            words: WordTable | None = None) -> EncodedSentence:
     """Build the n x (pos.dim + emb.dim) input matrix for one sentence."""
     n = len(tokens)
-    if not 0 <= anchor < n:
-        raise ValueError(f"anchor {anchor} outside 0..{n - 1}")
+    _check_anchor(anchor, n)
     offsets = np.arange(n) - anchor
     pos_rows = take_rows(pos.table, pos.row_indices(offsets))
-    if words is None:
-        word_rows = Tensor(emb.rows(tokens))
-    else:
-        word_rows = take_rows(words.matrix, words.row_indices(tokens))
-    return EncodedSentence(h0=concat([pos_rows, word_rows], axis=1), anchor=anchor)
+    return EncodedSentence(h0=concat([pos_rows, word_rows(tokens, emb, words)], axis=1),
+                           anchor=anchor)
+
+
+def encode_rows(examples, emb: EmbeddingTable, pos: PositionTable,
+                words: WordTable | None = None) -> np.ndarray:
+    """Tape-free `encode` of many sentences: their input matrices stacked
+    row-wise, in order, into one (total tokens, pos.dim + emb.dim) array."""
+    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
+    anchors = np.array([ex.anchor for ex in examples], dtype=np.intp)
+    for anchor, n in zip(anchors.tolist(), lengths.tolist()):
+        _check_anchor(anchor, n)
+    seg = np.repeat(np.arange(len(examples)), lengths)
+    offsets = np.arange(lengths.sum()) - (np.cumsum(lengths) - lengths + anchors)[seg]
+    tokens = [t for ex in examples for t in ex.tokens]
+    return np.concatenate([pos.table.data[pos.row_indices(offsets)],
+                           word_rows(tokens, emb, words).data], axis=1)
 
 
 def keyword_repr(keywords, emb: EmbeddingTable,
@@ -184,6 +219,5 @@ def keyword_repr(keywords, emb: EmbeddingTable,
         raise ValueError("keyword set is empty")
     if words is None:
         return Tensor(emb.rows(kws).mean(axis=0))
-    rows = take_rows(words.matrix, words.row_indices(kws))
     weights = Tensor(np.full(len(kws), 1.0 / len(kws)))
-    return matmul(weights, rows)
+    return matmul(weights, words.rows(kws))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass
 class EvalReport:
@@ -26,23 +28,27 @@ def report_from_counts(tp: int, fp: int, fn: int,
     return EvalReport(tp, fp, fn, precision, recall, f1, predictions)
 
 
+def predicted_labels(logits: np.ndarray) -> np.ndarray:
+    """0/1 label per row of (B, 2) logits; an exact tie counts as negative."""
+    return (logits[:, 1] > logits[:, 0]).astype(np.int64)
+
+
 def evaluate(model, examples, keep_predictions: bool = False) -> EvalReport:
-    """Pooled counts of model.predict over the dataset (eval mode, no dropout)."""
+    """Pooled counts of the dataset's labels against one call of
+    model.predict_batch(examples), which returns a 0/1 prediction per example
+    in order (eval mode, no dropout)."""
     if not examples:
         raise ValueError("evaluation dataset is empty")
     tp = fp = fn = 0
-    preds: list[int] | None = [] if keep_predictions else None
-    for ex in examples:
-        pred = model.predict(ex)
-        if preds is not None:
-            preds.append(pred)
+    preds = np.asarray(model.predict_batch(examples)).tolist()
+    for pred, ex in zip(preds, examples, strict=True):
         if pred == 1 and ex.label == 1:
             tp += 1
         elif pred == 1:
             fp += 1
         elif ex.label == 1:
             fn += 1
-    return report_from_counts(tp, fp, fn, preds)
+    return report_from_counts(tp, fp, fn, preds if keep_predictions else None)
 
 
 def report_json(report: EvalReport) -> str:

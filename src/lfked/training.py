@@ -3,7 +3,8 @@
 The loop is deterministic given the seed: per-epoch shuffling, negative
 subsampling, and dropout masks each draw from their own named substream. The
 trained object only needs named_params(), loss(example, train, rng), and
-predict(example), so the CNN models and the linear baseline share the loop.
+predict_batch(examples) (one 0/1 label per example, in order, used by the
+dev-set evaluation), so the CNN models and the linear baseline share the loop.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Checkpoint save/load: exact round-trips and byte stability."""
 
+import json
+
 import numpy as np
 import pytest
 
 from lfked.baseline import LinearBaseline
 from lfked.checkpoint import load_checkpoint, save_checkpoint
-from lfked.corpus import LFKExample
+from lfked.corpus import LFKExample, sha256_file
 from lfked.encoding import EmbeddingTable, WordTable, write_embeddings
 from lfked.metrics import evaluate
 from lfked.models import Model, ModelConfig
@@ -81,6 +83,33 @@ def test_embedding_path_reference(tmp_path):
     back = load_checkpoint(path)  # embeddings resolved from the stored path
     ex = examples(1)[0]
     assert (back.forward(ex).data == model.forward(ex).data).all()
+
+
+def test_embedding_digest_checked_on_load(tmp_path):
+    emb = tiny_emb()
+    emb_path = tmp_path / "emb.txt"
+    write_embeddings(emb.vectors, emb_path)
+    model = Model(tiny_cfg(), emb)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, emb_path=emb_path)
+    stored = json.loads(path.read_text())["embeddings"]["sha256"]
+    assert stored == sha256_file(emb_path)
+
+    copy = tmp_path / "copy.txt"
+    copy.write_bytes(emb_path.read_bytes())
+    load_checkpoint(path, emb_path=copy)                 # same bytes, other path
+    first, rest = emb_path.read_text().split("\n", 1)
+    token, _, values = first.split(" ", 2)
+    emb_path.write_text(f"{token} 0.5 {values}\n{rest}")  # one value changed
+    for override in (None, emb_path):
+        with pytest.raises(ValueError, match=f"sha256 .*{stored}"):
+            load_checkpoint(path, emb_path=override)
+
+    # a checkpoint written before the digest existed still loads
+    doc = json.loads(path.read_text())
+    del doc["embeddings"]["sha256"]
+    path.write_text(json.dumps(doc))
+    assert isinstance(load_checkpoint(path), Model)
 
 
 def test_missing_embedding_reference_is_an_error(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from lfked.checkpoint import load_checkpoint, save_checkpoint
 from lfked.cli import main
-from lfked.corpus import load_dataset
+from lfked.corpus import load_dataset, sha256_file
 
 
 def run_cli(*argv):
@@ -365,6 +365,51 @@ def test_eval_uses_embedding_path_from_checkpoint(data_dir, run_dir, capsys):
                  "--data", data_dir / "test.jsonl")
     assert rc == 0
     assert "F1" in capsys.readouterr().out
+
+
+def test_eval_refuses_a_changed_embedding_file(synth_dir, data_dir, tmp_path, capsys):
+    emb_path, same = tmp_path / "emb.txt", tmp_path / "same.txt"
+    emb_path.write_bytes((synth_dir / "embeddings.txt").read_bytes())
+    same.write_bytes(emb_path.read_bytes())
+    out = tmp_path / "run"
+    assert run_cli("train", "--model", "concat", "--data-dir", data_dir,
+                   "--embeddings", emb_path, "--out", out, *TINY_NET) == 0
+    first, rest = emb_path.read_text().split("\n", 1)
+    token, _, values = first.split(" ", 2)
+    emb_path.write_text(f"{token} 0.5 {values}\n{rest}")    # one value edited
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", out / "model.ckpt",
+                   "--data", data_dir / "test.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "sha256" in err and sha256_file(same) in err and sha256_file(emb_path) in err
+    assert run_cli("eval", "--checkpoint", out / "model.ckpt",
+                   "--data", data_dir / "test.jsonl", "--embeddings", same) == 0
+
+
+def test_eval_finetune_words_scores_unseen_tokens(synth_dir, data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--model", "attention-cfa", "--data-dir", data_dir,
+                   "--embeddings", synth_dir / "embeddings.txt", "--out", out,
+                   *TINY_NET, "--finetune-words") == 0
+    unseen = tmp_path / "unseen.jsonl"
+    examples = load_dataset(data_dir / "test.jsonl")
+    with open(unseen, "w", encoding="utf-8") as f:
+        for i, ex in enumerate(examples):
+            tokens = list(ex.tokens)
+            tokens[(ex.anchor + 1 + i) % len(tokens)] = "zzunseen"
+            f.write(json.dumps({
+                "tokens": tokens, "anchor": ex.anchor,
+                "keywords": list(ex.keywords) + ["zzunseenkw"], "label": ex.label,
+            }) + "\n")
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", out / "model.ckpt", "--data", unseen,
+                   "--json") == 0
+    assert json.loads(capsys.readouterr().out)["tp"] >= 0
+    model = load_checkpoint(out / "model.ckpt")
+    assert "zzunseen" not in model.words.index
+    data = load_dataset(unseen)
+    ref = np.stack([model.forward(ex).data for ex in data])
+    assert np.abs(model.logits_batch(data) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_eval_missing_checkpoint(data_dir, tmp_path):

@@ -229,3 +229,24 @@ def test_word_table_missing_token():
     words = WordTable(table(), ["cat"])
     with pytest.raises(ValueError, match="missing from the word table"):
         words.row_indices(["dog"])
+
+
+def test_word_table_unseen_tokens_keep_frozen_vectors():
+    emb = table(policy="random-fixed", seed=1)
+    words = WordTable(emb, ["cat", "dog"])
+    words.matrix.data += 1.0                      # trained away from emb
+    tokens = ["zzunseen", "cat", "bird", "dog", "zzunseen"]
+    pos = ptable()
+    with Tape() as tape:
+        enc = encode(tokens, 1, emb, pos, words=words)
+        from lfked.autodiff import mean
+
+        tape.backward(mean(enc.h0))
+    rows = enc.h0.data[:, pos.dim:]
+    for i, t in enumerate(tokens):
+        want = words.matrix.data[words.index[t]] if t in words.index else emb.lookup(t)
+        assert (rows[i] == want).all(), t
+    assert (words.matrix.grad != 0).all()          # only cat and dog rows exist
+    kw = keyword_repr(["zzunseen", "cat"], emb, words=words).data
+    want = (emb.lookup("zzunseen") + words.matrix.data[words.index["cat"]]) / 2
+    assert np.abs(kw - want).max() < 1e-15

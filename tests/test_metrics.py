@@ -18,6 +18,9 @@ class FixedPredictor:
         self.i += 1
         return out
 
+    def predict_batch(self, examples):
+        return [self.predict(ex) for ex in examples]
+
 
 def examples(labels):
     return [LFKExample(["w"], 0, ("k",), y) for y in labels]

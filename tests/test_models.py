@@ -9,8 +9,10 @@ from lfked.corpus import LFKExample
 from lfked.encoding import EmbeddingTable, WordTable
 from lfked.models import (
     ACTIVATIONS,
+    SCORE_TOKENS,
     Model,
     ModelConfig,
+    _chunks,
     cfa_condition,
     cnn_layer,
     head_attention,
@@ -335,6 +337,82 @@ def test_predict_tie_is_negative():
     model.params["ffn.out.w"].data[:] = 0.0
     model.params["ffn.out.b"].data[:] = 0.0
     assert model.predict(example()) == 0
+    batch = [example(n=n, anchor=n - 1) for n in (1, 2, 9)]
+    assert model.predict_batch(batch).tolist() == [0, 0, 0]
+
+
+# --- packed scoring -----------------------------------------------------------
+
+
+def mixed_batch():
+    """Lengths 1, 2, 9, 30 and 60 with anchors at both edges; keyword sets of
+    different sizes."""
+    return [
+        LFKExample([f"w{(i * 5 + n) % 12}" for i in range(n)], anchor,
+                   tuple(f"k{j}" for j in range(1 + n % 5)), n % 2)
+        for n in (1, 2, 9, 30, 60) for anchor in (0, n - 1)
+    ]
+
+
+def assert_packed_matches_forward(model, batch):
+    ref = np.stack([model.forward(ex).data for ex in batch])
+    got = model.logits_batch(batch)
+    assert got.shape == (len(batch), 2)
+    err = np.abs(got - ref).max() / np.abs(ref).max()
+    assert err <= 1e-12, f"relative error {err:.3e}"
+    assert model.predict_batch(batch).tolist() == \
+        [1 if r[1] > r[0] else 0 for r in ref]
+    assert [model.predict(ex) for ex in batch] == model.predict_batch(batch).tolist()
+
+
+@pytest.mark.parametrize("case", [
+    "concat", "attention", "concat-cfa", "attention-cfa", "layers2-cfa-not-last",
+    "relu-identity", "finetune-words",
+])
+def test_predict_batch_matches_per_example_forward(case):
+    # Window 5 is wider than the 1- and 2-token sentences; one call packs all
+    # lengths together.
+    emb = tiny_emb()
+    batch = mixed_batch()
+    config = tiny_config(windows=(2, 5), dropout=0.5)
+    words = None
+    if case == "layers2-cfa-not-last":
+        config = tiny_config(windows=(1, 2, 5), cfa_last=False)
+    elif case == "relu-identity":
+        config = tiny_config(windows=(5, 2), conv_act="relu", cfa_act="identity")
+    elif case == "finetune-words":
+        # w11 and k3 are left out of the table: they keep their frozen vectors
+        vocab = [t for ex in batch for t in ex.tokens + list(ex.keywords)]
+        words = WordTable(emb, [t for t in vocab if t not in ("w11", "k3")])
+        words.matrix.data += rng_for(1, "ft").normal(scale=0.1, size=words.matrix.shape)
+    else:
+        config = config.with_variant(case)
+    model = Model(config, emb, words=words)
+    assert_packed_matches_forward(model, batch)
+
+
+def test_predict_batch_spans_chunks_and_long_sentences():
+    # More tokens than one chunk holds, and one sentence longer than a chunk.
+    long_n = SCORE_TOKENS + 40
+    batch = mixed_batch() * 4 + [
+        LFKExample([f"w{i % 12}" for i in range(long_n)], long_n - 1, ("k1",), 1)
+    ] + mixed_batch()
+    chunks = list(_chunks(batch))
+    assert [ex for c in chunks for ex in c] == batch
+    assert len(chunks) > 2
+    for c in chunks:
+        assert len(c) == 1 or sum(len(ex.tokens) for ex in c) <= SCORE_TOKENS
+    assert [len(c) for c in chunks if len(c[0].tokens) == long_n] == [1]
+    model = Model(tiny_config(windows=(2, 5)), tiny_emb())
+    assert_packed_matches_forward(model, batch)
+
+
+def test_predict_batch_anchor_out_of_range_raises():
+    model = Model(tiny_config(), tiny_emb())
+    with pytest.raises(ValueError, match="anchor 5 outside 0..4"):
+        model.predict_batch([example(n=5, anchor=4), example(n=5, anchor=5)])
+    with pytest.raises(ValueError, match="anchor -1"):
+        model.predict_batch([example(n=3, anchor=-1)])
 
 
 def test_no_dead_parameters_on_attention_cfa_batch():

@@ -153,6 +153,9 @@ class BiasOnlyModel:
         d = self.logits.data
         return 1 if d[1] > d[0] else 0
 
+    def predict_batch(self, examples):
+        return [self.predict(ex) for ex in examples]
+
 
 def tiny_examples(n_pos=3, n_neg=3):
     pos = [LFKExample(["a", "b"], 0, ("k",), 1) for _ in range(n_pos)]
