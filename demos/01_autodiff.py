@@ -33,8 +33,10 @@ def main():
     tape.backward(y)
     print(f"   after zero_grads + backward   -> {x.grad:.6f} (same as before)")
 
-    print("\n3. a conv over a 6-token 'sentence', finite-difference checked")
+    print("\n3. a conv over two packed 'sentences' of 4 and 2 tokens, "
+          "finite-difference checked")
     rng = np.random.default_rng(0)
+    lengths = [4, 2]                             # rows of each sentence, in order
     seq = rng.uniform(-1, 1, (6, 5))
     filters = rng.uniform(-0.5, 0.5, (3, 5, 4))  # window 3, 5-dim in, 4 filters
     bias = rng.uniform(-0.1, 0.1, 4)
@@ -43,8 +45,9 @@ def main():
     tbias = Tensor(bias, requires_grad=True)
 
     def forward():
-        h = ad.tanh(ad.conv1d_same(tseq, tfil, tbias))
-        return ad.mean(ad.maxpool_time(h))
+        # each sentence is padded on its own; maxpool gives one row per sentence
+        h = ad.tanh(ad.conv1d_same(tseq, tfil, tbias, lengths))
+        return ad.mean(ad.maxpool_time(h, lengths))
 
     with Tape() as tape:
         loss = forward()

@@ -5,6 +5,11 @@ hand-written backward rule. Recording is explicit: ops append their backward
 rule to the active `Tape`; without an active tape, ops are plain numpy
 evaluations and produce constants.
 
+Sequence ops work on a packed batch: the rows of several sentences stacked
+one after another, with `lengths` giving each sentence's row count (None: the
+whole input is one sentence). Per-sentence values, such as a CFA scale or an
+attention query, are (B, .) rows, one per sentence.
+
 Gradients of leaf tensors (those not made by an op, such as parameters) are
 complete only when `Tape.backward` returns. During the reverse replay the
 rules of `affine` and `conv1d_same` queue the factors of their leaf weight's
@@ -121,7 +126,7 @@ def zero_grads(tensors):
 def _out(data, *inputs) -> tuple[Tensor, Tape | None]:
     """Output tensor for an op; requires grad iff recording and any input does."""
     tape = _active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = tape is not None and any([t.requires_grad for t in inputs])
     out = Tensor(data, requires_grad=track)
     out.is_leaf = False
     return out, (tape if track else None)
@@ -138,19 +143,20 @@ def _defer(sum_into, weight: Tensor, factors):
 
 
 def _affine_weight_grad(grad, factors):
-    """grad += sum of outer(g, x) over (g, x) pairs, as one (m,B)@(B,k) product."""
+    """grad += sum of g.T @ x over (g, x) row blocks, as one (m,B)@(B,k) product."""
     gs, xs = zip(*factors)
-    grad += np.stack(gs).T @ np.stack(xs)
+    grad += np.concatenate(gs).T @ np.concatenate(xs)
 
 
 def _conv_filters_grad(grad, factors):
-    """grad[j] += sum over (padded, g) pairs and positions t of
-    outer(padded[t + j], g[t]).
+    """grad[j] += sum over (padded, g) pairs and rows t of
+    outer(padded[t + j], g[t]), where g[t] is the output gradient of the
+    window starting at padded row t.
 
-    P stacks the zero-padded inputs (n + w - 1 rows each); Gz stacks the
-    output gradients (n rows each), each followed by w - 1 zero rows, so both
-    share row offsets and tap j is the single product P[j:j+R].T @ Gz[:R]. The
-    zero rows keep one example's gradient off the next example's input.
+    P stacks the padded inputs; Gz stacks the g's (w - 1 rows fewer than their
+    input each), each followed by w - 1 zero rows, so both share row offsets
+    and tap j is the single product P[j:j+R].T @ Gz[:R]. The zero rows keep
+    one input's gradient off the next input.
     """
     w = grad.shape[0]
     P = np.concatenate([padded for padded, _ in factors])
@@ -164,62 +170,79 @@ def _conv_filters_grad(grad, factors):
         grad[j] += P[j:j + R].T @ Gz[:R]
 
 
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+_FIRST_ROW.flags.writeable = False
+
+
+def _segments(lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, starts) of the sentences packed in n rows, as int arrays;
+    None is one sentence."""
+    if lengths is None:
+        return np.array([n], dtype=np.intp), _FIRST_ROW
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape == (1,) and lengths[0] == n:
+        return lengths, _FIRST_ROW
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1 or lengths.sum() != n:
+        raise ShapeError(f"lengths {lengths.tolist()} do not split {n} rows into sentences")
+    return lengths, np.cumsum(lengths) - lengths
+
+
+def _spread(per_sentence: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Row i of a per-sentence array once per row of sentence i; a single
+    sentence's (1, ...) array is returned as is, since it broadcasts."""
+    if len(lengths) == 1:
+        return per_sentence
+    return np.repeat(per_sentence, lengths, axis=0)
+
+
+def _reduce(ufunc, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """ufunc reduced over each sentence's rows: one row per sentence."""
+    if len(starts) == 1:
+        return ufunc.reduce(x, axis=0, keepdims=True)
+    return ufunc.reduceat(x, starts, axis=0)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product: (m,k)@(k,n), (m,k)@(k,), (k,)@(k,n) or (k,)@(k,)."""
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
+    """Matrix product (m,k)@(k,n) -> (m,n)."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul supports 2-D operands, got {a.shape} @ {b.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out, tape = _out(a.data @ b.data, a, b)
     if tape is not None:
         def rule(out=out, a=a, b=b):
-            g = out.grad
             if a.requires_grad:
-                if a.data.ndim == 2 and b.data.ndim == 2:
-                    a.grad += g @ b.data.T
-                elif a.data.ndim == 2:          # (m,k)@(k,) -> g is (m,)
-                    a.grad += np.outer(g, b.data)
-                elif b.data.ndim == 2:          # (k,)@(k,n) -> g is (n,)
-                    a.grad += b.data @ g
-                else:                            # dot product -> g scalar
-                    a.grad += g * b.data
+                a.grad += out.grad @ b.data.T
             if b.requires_grad:
-                if a.data.ndim == 2 and b.data.ndim == 2:
-                    b.grad += a.data.T @ g
-                elif a.data.ndim == 2:
-                    b.grad += a.data.T @ g
-                elif b.data.ndim == 2:
-                    b.grad += np.outer(a.data, g)
-                else:
-                    b.grad += g * a.data
+                b.grad += a.data.T @ out.grad
         tape._record(rule)
     return out
 
 
 def affine(weight: Tensor, x: Tensor, bias: Tensor) -> Tensor:
-    """weight @ x + bias for a vector x: (m,k)@(k,) + (m,) -> (m,)."""
-    if weight.data.ndim != 2 or x.data.ndim != 1 or bias.data.ndim != 1:
+    """weight applied to each row of x, plus bias: (m,k), (B,k), (m,) -> (B,m)."""
+    if weight.data.ndim != 2 or x.data.ndim != 2 or bias.data.ndim != 1:
         raise ShapeError(
-            f"affine expects (m,k), (k,), (m,), got {weight.shape}, {x.shape}, {bias.shape}"
+            f"affine expects (m,k), (B,k), (m,), got {weight.shape}, {x.shape}, {bias.shape}"
         )
-    if weight.data.shape[1] != x.data.shape[0] or weight.data.shape[0] != bias.data.shape[0]:
+    if weight.data.shape[1] != x.data.shape[1] or weight.data.shape[0] != bias.data.shape[0]:
         raise ShapeError(
             f"affine shapes disagree: {weight.shape} @ {x.shape} + {bias.shape}"
         )
-    out, tape = _out(weight.data @ x.data + bias.data, weight, x, bias)
+    out, tape = _out(x.data @ weight.data.T + bias.data, weight, x, bias)
     if tape is not None:
         def rule(out=out, weight=weight, x=x, bias=bias):
             g = out.grad
             if weight.requires_grad:
                 _defer(_affine_weight_grad, weight, (g, x.data))
             if x.requires_grad:
-                x.grad += weight.data.T @ g
+                x.grad += g @ weight.data
             if bias.requires_grad:
-                bias.grad += g
+                bias.grad += g.sum(axis=0)
         tape._record(rule)
     return out
 
@@ -252,12 +275,14 @@ def linear_rows(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # sequence ops
 
 
-def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    """1-D convolution over the sequence axis with zero padding, length-preserving.
+def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor, lengths=None) -> Tensor:
+    """1-D convolution over the sequence axis with zero padding, length-preserving,
+    of every sentence packed in seq.
 
-    seq (n, d_in), filters (w, d_in, f), bias (f,) -> (n, f). Padding splits
-    w-1 zeros as floor((w-1)/2) on the left and the remainder on the right, so
-    even windows take the extra pad position on the right.
+    seq (n, d_in), filters (w, d_in, f), bias (f,) -> (n, f). Each sentence is
+    padded on its own: w-1 zeros split as floor((w-1)/2) on the left and the
+    remainder on the right, so even windows take the extra pad position on the
+    right.
     """
     if seq.data.ndim != 2 or filters.data.ndim != 3 or bias.data.ndim != 1:
         raise ShapeError(
@@ -271,76 +296,140 @@ def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
         )
     if n < 1 or w < 1:
         raise ValueError("conv1d_same needs n >= 1 and window >= 1")
+    lengths, _ = _segments(lengths, n)
 
-    left = (w - 1) // 2
-    padded = np.zeros((n + w - 1, d_in))
-    padded[left:left + n] = seq.data
-    idx = np.arange(n)[:, None] + np.arange(w)[None, :]     # (n, w) into padded
-    col = padded[idx].reshape(n, w * d_in)
+    # Layout: `left` zero rows, then each sentence followed by `right` zero
+    # rows, so a window reads its own sentence's rows and zeros only. The
+    # window of row r of seq starts at padded row start[r], and row r sits
+    # `left` rows further down. Without gaps (one sentence) start is a slice.
+    left, right = (w - 1) // 2, w // 2
+    gapped = len(lengths) > 1
+    if gapped:
+        start = np.arange(n) + right * np.repeat(np.arange(len(lengths)), lengths)
+    else:
+        start = slice(0, n)
+    padded = np.zeros((n + w - 1 + right * (len(lengths) - 1), d_in))
+    padded[left:][start] = seq.data
+    windows = np.arange(len(padded) - (w - 1))[start]
+    col = padded[windows[:, None] + np.arange(w)].reshape(n, w * d_in)
     w_mat = filters.data.reshape(w * d_in, f)
     out, tape = _out(col @ w_mat + bias.data, seq, filters, bias)
     if tape is not None:
         def rule(out=out, seq=seq, filters=filters, bias=bias,
-                 padded=padded, w_mat=w_mat, left=left, n=n, w=w, d_in=d_in):
+                 padded=padded, start=start, gapped=gapped, w_mat=w_mat, left=left, w=w,
+                 d_in=d_in):
             g = out.grad
             if bias.requires_grad:
                 bias.grad += g.sum(axis=0)
+            # output gradients by window start row; zero where no window starts
+            g_at = g
+            if gapped:
+                g_at = np.zeros((padded.shape[0] - (w - 1), g.shape[1]))
+                g_at[start] = g
             if filters.requires_grad:
-                _defer(_conv_filters_grad, filters, (padded, g))
+                _defer(_conv_filters_grad, filters, (padded, g_at))
             if seq.requires_grad:
-                dcol = (g @ w_mat.T).reshape(n, w, d_in)
-                dpad = np.zeros((n + w - 1, d_in))
+                dcol = (g_at @ w_mat.T).reshape(len(g_at), w, d_in)
+                dpad = np.zeros(padded.shape)
                 # Descending taps add to each row in np.add.at's order, so
                 # the sum is bitwise the same.
                 for j in range(w - 1, -1, -1):
-                    dpad[j:j + n] += dcol[:, j]
-                seq.grad += dpad[left:left + n]
+                    dpad[j:j + len(g_at)] += dcol[:, j]
+                seq.grad += dpad[left:][start]
         tape._record(rule)
     return out
 
 
-def maxpool_time(seq: Tensor) -> Tensor:
-    """Per-feature max over the sequence axis: (n, f) -> (f,).
+def maxpool_time(seq: Tensor, lengths=None) -> Tensor:
+    """Per-feature max over each sentence's rows: (n, f) -> (B, f).
 
-    Gradient routes to the first maximal position in each column.
+    Gradient routes to the first maximal row of the sentence in each column.
     """
     if seq.data.ndim != 2:
         raise ShapeError(f"maxpool_time expects (n,f), got {seq.shape}")
-    if seq.data.shape[0] < 1:
+    n = seq.data.shape[0]
+    if n < 1:
         raise ValueError("maxpool_time needs a non-empty sequence")
-    winners = np.argmax(seq.data, axis=0)        # argmax takes the first max
-    cols = np.arange(seq.data.shape[1])
-    out, tape = _out(seq.data[winners, cols], seq)
+    lengths, starts = _segments(lengths, n)
+    out, tape = _out(_reduce(np.maximum, seq.data, starts), seq)
     if tape is not None:
-        def rule(out=out, seq=seq, winners=winners, cols=cols):
-            seq.grad[winners, cols] += out.grad
-        tape._record(rule)
-    return out
-
-
-def take_row(x: Tensor, index: int) -> Tensor:
-    """Row `index` of a (n, d) tensor as a (d,) tensor."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"take_row expects (n,d), got {x.shape}")
-    if not 0 <= index < x.data.shape[0]:
-        raise ValueError(f"row index {index} out of range for {x.shape}")
-    out, tape = _out(x.data[index].copy(), x)
-    if tape is not None:
-        def rule(out=out, x=x, index=index):
-            x.grad[index] += out.grad
+        def rule(out=out, seq=seq, lengths=lengths, starts=starts):
+            # a row not below the max (NaN compares False) is a candidate
+            hit = ~(seq.data < _spread(out.data, lengths))
+            rows = np.where(hit, np.arange(seq.data.shape[0])[:, None], seq.data.shape[0])
+            winners = _reduce(np.minimum, rows, starts)
+            seq.grad[winners, np.arange(seq.data.shape[1])] += out.grad
         tape._record(rule)
     return out
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
-    """Rows of a (n, d) tensor gathered by an int array; repeats accumulate."""
+    """Rows of a (n, d) tensor gathered by an int array, or one row as a (d,)
+    vector for an int; repeats accumulate."""
     if x.data.ndim != 2:
         raise ShapeError(f"take_rows expects (n,d), got {x.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    out, tape = _out(x.data[idx], x)
+    out, tape = _out(x.data.take(idx, axis=0), x)
     if tape is not None:
         def rule(out=out, x=x, idx=idx):
-            np.add.at(x.grad, idx, out.grad)
+            if idx.size == 1:                   # nothing to repeat
+                x.grad[idx] += out.grad
+            else:
+                np.add.at(x.grad, idx, out.grad)
+        tape._record(rule)
+    return out
+
+
+def _row_dots(rows: np.ndarray, per_sentence: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Dot product of each row with its sentence's row of per_sentence: (n,)."""
+    if len(lengths) == 1:
+        return rows @ per_sentence[0]
+    return np.einsum("ij,ij->i", rows, _spread(per_sentence, lengths))
+
+
+def _weighted_sums(weights: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per sentence, the weighted sum of its rows: (B, f)."""
+    if len(starts) == 1:
+        return (weights @ rows)[None]
+    return np.add.reduceat(weights[:, None] * rows, starts, axis=0)
+
+
+# The two segment ops below are each other's adjoint: the gradient of one is
+# computed by the helper of the other.
+
+
+def row_scores(keys: Tensor, queries: Tensor, lengths=None) -> Tensor:
+    """Dot product of each row with its sentence's query: keys (n, a),
+    queries (B, a) -> (n,)."""
+    if keys.data.ndim != 2 or queries.data.ndim != 2 or keys.data.shape[1] != queries.data.shape[1]:
+        raise ShapeError(f"row_scores expects (n,a), (B,a), got {keys.shape}, {queries.shape}")
+    lengths, starts = _segments(lengths, keys.data.shape[0])
+    out, tape = _out(_row_dots(keys.data, queries.data, lengths), keys, queries)
+    if tape is not None:
+        def rule(out=out, keys=keys, queries=queries, lengths=lengths, starts=starts):
+            g = out.grad
+            if keys.requires_grad:
+                keys.grad += g[:, None] * _spread(queries.data, lengths)
+            if queries.requires_grad:
+                queries.grad += _weighted_sums(g, keys.data, starts)
+        tape._record(rule)
+    return out
+
+
+def weighted_row_sum(weights: Tensor, rows: Tensor, lengths=None) -> Tensor:
+    """Per sentence, the sum of its rows scaled by their weights: weights (n,),
+    rows (n, f) -> (B, f)."""
+    if weights.data.ndim != 1 or rows.data.ndim != 2 or weights.data.shape[0] != rows.data.shape[0]:
+        raise ShapeError(f"weighted_row_sum expects (n,), (n,f), got {weights.shape}, {rows.shape}")
+    lengths, starts = _segments(lengths, rows.data.shape[0])
+    out, tape = _out(_weighted_sums(weights.data, rows.data, starts), weights, rows)
+    if tape is not None:
+        def rule(out=out, weights=weights, rows=rows, lengths=lengths):
+            g = out.grad
+            if weights.requires_grad:
+                weights.grad += _row_dots(rows.data, g, lengths)
+            if rows.requires_grad:
+                rows.grad += weights.data[:, None] * _spread(g, lengths)
         tape._record(rule)
     return out
 
@@ -380,30 +469,34 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale_shift_rows(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """Per-row affine modulation: out[j] = scale * x[j] + shift.
+def scale_shift_rows(x: Tensor, scale: Tensor, shift: Tensor, lengths=None) -> Tensor:
+    """Per-sentence affine modulation of rows: out[j] = scale[b] * x[j] + shift[b]
+    for each row j of sentence b.
 
-    x (n, f), scale (f,), shift (f,) -> (n, f); the same (scale, shift) pair
-    applies to every row.
+    x (n, f), scale (B, f), shift (B, f) -> (n, f).
     """
-    if x.data.ndim != 2 or scale.data.ndim != 1 or shift.data.ndim != 1:
+    if x.data.ndim != 2 or scale.data.ndim != 2 or shift.data.ndim != 2:
         raise ShapeError(
-            f"scale_shift_rows expects (n,f), (f,), (f,), got {x.shape}, {scale.shape}, {shift.shape}"
+            f"scale_shift_rows expects (n,f), (B,f), (B,f), got {x.shape}, {scale.shape}, {shift.shape}"
         )
-    if x.data.shape[1] != scale.data.shape[0] or scale.data.shape != shift.data.shape:
+    if x.data.shape[1] != scale.data.shape[1] or scale.data.shape != shift.data.shape:
         raise ShapeError(
             f"scale_shift_rows widths disagree: {x.shape}, {scale.shape}, {shift.shape}"
         )
-    out, tape = _out(x.data * scale.data + shift.data, x, scale, shift)
+    lengths, starts = _segments(lengths, x.data.shape[0])
+    if scale.data.shape[0] != len(lengths):
+        raise ShapeError(f"scale_shift_rows: {scale.shape[0]} scales for {len(lengths)} sentences")
+    s = _spread(scale.data, lengths)
+    out, tape = _out(x.data * s + _spread(shift.data, lengths), x, scale, shift)
     if tape is not None:
-        def rule(out=out, x=x, scale=scale, shift=shift):
+        def rule(out=out, x=x, scale=scale, shift=shift, s=s, starts=starts):
             g = out.grad
             if x.requires_grad:
-                x.grad += g * scale.data
+                x.grad += g * s
             if scale.requires_grad:
-                scale.grad += (g * x.data).sum(axis=0)
+                scale.grad += _reduce(np.add, g * x.data, starts)
             if shift.requires_grad:
-                shift.grad += g.sum(axis=0)
+                shift.grad += _reduce(np.add, g, starts)
         tape._record(rule)
     return out
 
@@ -482,19 +575,20 @@ def identity(x: Tensor) -> Tensor:
     return out
 
 
-def softmax(v: Tensor) -> Tensor:
-    """Stable softmax of a vector; outputs are nonnegative and sum to 1."""
+def softmax(v: Tensor, lengths=None) -> Tensor:
+    """Stable softmax over each sentence's entries of a vector; each
+    sentence's outputs are nonnegative and sum to 1."""
     if v.data.ndim != 1:
         raise ShapeError(f"softmax expects a vector, got {v.shape}")
-    shifted = v.data - v.data.max()
-    e = np.exp(shifted)
-    s = e / e.sum()
+    lengths, starts = _segments(lengths, v.data.shape[0])
+    e = np.exp(v.data - _spread(_reduce(np.maximum, v.data, starts), lengths))
+    s = e / _spread(_reduce(np.add, e, starts), lengths)
     out, tape = _out(s, v)
     if tape is not None:
-        def rule(out=out, v=v):
+        def rule(out=out, v=v, lengths=lengths, starts=starts):
             g = out.grad
             s = out.data
-            v.grad += s * (g - (g * s).sum())
+            v.grad += s * (g - _spread(_reduce(np.add, g * s, starts), lengths))
         tape._record(rule)
     return out
 

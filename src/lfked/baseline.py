@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, cross_entropy
+from .autodiff import Tensor, affine, cross_entropy, take_rows
 from .encoding import EmbeddingTable, keyword_repr
 from .metrics import predicted_labels
 
@@ -21,21 +21,22 @@ CONTEXT_RADIUS = 2
 
 @dataclass
 class BaselineFeatures:
+    """One row per example."""
     context_avg: np.ndarray
     keyword_avg: np.ndarray
 
     @property
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.context_avg, self.keyword_avg])
+        return np.concatenate([self.context_avg, self.keyword_avg], axis=1)
 
 
-def featurize(example, emb: EmbeddingTable) -> BaselineFeatures:
-    lo = max(0, example.anchor - CONTEXT_RADIUS)
-    hi = min(len(example.tokens), example.anchor + CONTEXT_RADIUS + 1)
-    window = example.tokens[lo:hi]
+def featurize(examples, emb: EmbeddingTable) -> BaselineFeatures:
+    context = [emb.rows(ex.tokens[max(0, ex.anchor - CONTEXT_RADIUS):
+                                  ex.anchor + CONTEXT_RADIUS + 1]).mean(axis=0)
+               for ex in examples]
     return BaselineFeatures(
-        context_avg=emb.rows(window).mean(axis=0),
-        keyword_avg=keyword_repr(example.keywords, emb).data,
+        context_avg=np.stack(context),
+        keyword_avg=keyword_repr([ex.keywords for ex in examples], emb).data,
     )
 
 
@@ -50,9 +51,13 @@ class LinearBaseline:
     def named_params(self) -> dict[str, Tensor]:
         return {"linear.w": self.weights, "linear.b": self.bias}
 
+    def forward_batch(self, examples) -> Tensor:
+        """(len(examples), 2) logits: one product of the stacked feature
+        vectors with the weights."""
+        return affine(self.weights, Tensor(featurize(examples, self.emb).vector), self.bias)
+
     def forward(self, example) -> Tensor:
-        feats = Tensor(featurize(example, self.emb).vector)
-        return affine(self.weights, feats, self.bias)
+        return take_rows(self.forward_batch([example]), 0)
 
     def loss(self, example, train: bool = False, rng=None) -> Tensor:
         return cross_entropy(self.forward(example), example.label)
@@ -61,8 +66,5 @@ class LinearBaseline:
         return int(self.predict_batch([example])[0])
 
     def predict_batch(self, examples) -> np.ndarray:
-        """Predicted labels (0/1, in order): one product of the stacked
-        feature vectors with the weights; an exact tie counts as negative."""
-        feats = np.array([featurize(ex, self.emb).vector for ex in examples])
-        feats = feats.reshape(len(examples), self.weights.data.shape[1])
-        return predicted_labels(feats @ self.weights.data.T + self.bias.data)
+        """Predicted labels (0/1, in order); an exact tie counts as negative."""
+        return predicted_labels(self.forward_batch(examples).data)

@@ -17,7 +17,7 @@ import json
 import shutil
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -165,27 +165,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+# The train subcommand's ModelConfig and TrainConfig fields, settable by flag
+# or config file. Left out: the variant (head, cfa), which --model picks; the
+# model seed, which is --seed; and Adadelta's rho and eps, which keep their
+# defaults.
+MODEL_FIELDS = [f.name for f in fields(ModelConfig) if f.name not in ("head", "cfa", "seed")]
+TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name not in ("rho", "eps")]
+
 TRAIN_DEFAULTS = {
     "model": None,
-    "layers": 1,
-    "windows": "2,3,4,5",
-    "filters": 100,
-    "dropout": 0.5,
-    "lr": 1.0,
-    "seed": 0,
-    "epochs": 30,
-    "batch_size": 50,
-    "patience": 5,
-    "neg_keep": None,
+    **{f.name: f.default for f in fields(ModelConfig) if f.name in MODEL_FIELDS},
+    **{f.name: f.default for f in fields(TrainConfig) if f.name in TRAIN_FIELDS},
+    "windows": ",".join(str(w) for w in ModelConfig.windows),
     "word_dim": None,       # inferred from the embedding file when unset
-    "pos_dim": 50,
-    "max_offset": 30,
-    "attn_hidden": 200,
-    "ffn_hidden": 300,
-    "conv_act": "tanh",
-    "attn_act": "tanh",
-    "cfa_act": "sigmoid",
-    "cfa_last": True,
     "finetune_words": False,
     "sweep_layers": False,
     "oov_policy": "random-fixed",
@@ -226,14 +218,7 @@ def cmd_train(args) -> int:
     word_dim = resolved["word_dim"] or _embedding_dim(args.embeddings)
     emb = load_embeddings(args.embeddings, word_dim,
                           oov_policy=resolved["oov_policy"], seed=seed)
-    train_cfg = TrainConfig(
-        batch_size=resolved["batch_size"],
-        epochs=resolved["epochs"],
-        patience=resolved["patience"],
-        seed=seed,
-        neg_keep=resolved["neg_keep"],
-        lr=resolved["lr"],
-    )
+    train_cfg = TrainConfig(**{k: resolved[k] for k in TRAIN_FIELDS})
     train_cfg.validate()
     out = ensure_dir(args.out)
 
@@ -245,22 +230,10 @@ def cmd_train(args) -> int:
         best = {"best_epoch": result.best_epoch, "best_dev_f1": result.best_f1}
     else:
         def model_config(layers: int) -> ModelConfig:
-            return ModelConfig(
-                layers=layers,
-                windows=_parse_windows(resolved["windows"]),
-                filters=resolved["filters"],
-                dropout=resolved["dropout"],
-                word_dim=word_dim,
-                pos_dim=resolved["pos_dim"],
-                max_offset=resolved["max_offset"],
-                attn_hidden=resolved["attn_hidden"],
-                ffn_hidden=resolved["ffn_hidden"],
-                conv_act=resolved["conv_act"],
-                attn_act=resolved["attn_act"],
-                cfa_act=resolved["cfa_act"],
-                cfa_last=resolved["cfa_last"],
-                seed=seed,
-            ).with_variant(resolved["model"])
+            given = {k: resolved[k] for k in MODEL_FIELDS}
+            given.update(layers=layers, windows=_parse_windows(resolved["windows"]),
+                         word_dim=word_dim)
+            return ModelConfig(**given, seed=seed).with_variant(resolved["model"])
 
         def build_and_train(layers: int, log_name: str):
             config = model_config(layers)

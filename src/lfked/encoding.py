@@ -1,9 +1,11 @@
 """Word embeddings, learned position embeddings, and sentence encoding.
 
-The encoder turns (tokens, anchor) into a matrix whose row i is the
-concatenation of a position vector for offset i - anchor and the word vector
-of token i. Word vectors are frozen by default; pass a WordTable to make them
-trainable. Position vectors are always learned.
+The encoder turns sentences, packed one after another with an anchor each,
+into one matrix whose row i of a sentence is the concatenation of a position
+vector for offset i - anchor and the word vector of token i; the keyword
+encoder turns keyword sets into one row each. Word vectors are frozen by
+default; pass a WordTable to make them trainable. Position vectors are always
+learned.
 
 Embedding file format: one line per token, "token v1 v2 ... v_dim",
 space-separated decimal floats.
@@ -12,7 +14,6 @@ space-separated decimal floats.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -168,15 +169,11 @@ class WordTable:
         return take_rows(concat([trained, frozen], axis=0), np.argsort(known + unseen))
 
 
-@dataclass
-class EncodedSentence:
-    h0: Tensor
-    anchor: int
-
-
-def _check_anchor(anchor: int, n: int):
-    if not 0 <= anchor < n:
-        raise ValueError(f"anchor {anchor} outside 0..{n - 1}")
+def check_anchors(anchors, lengths):
+    """Raise ValueError for the first anchor outside its sentence."""
+    for anchor, n in zip(np.asarray(anchors).tolist(), np.asarray(lengths).tolist()):
+        if not 0 <= anchor < n:
+            raise ValueError(f"anchor {anchor} outside 0..{n - 1}")
 
 
 def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Tensor:
@@ -184,40 +181,35 @@ def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Te
     return Tensor(emb.rows(tokens)) if words is None else words.rows(tokens)
 
 
-def encode(tokens, anchor: int, emb: EmbeddingTable, pos: PositionTable,
-           words: WordTable | None = None) -> EncodedSentence:
-    """Build the n x (pos.dim + emb.dim) input matrix for one sentence."""
-    n = len(tokens)
-    _check_anchor(anchor, n)
-    offsets = np.arange(n) - anchor
+def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
+           words: WordTable | None = None) -> Tensor:
+    """The (len(tokens), pos.dim + emb.dim) input rows of sentences packed one
+    after another: `tokens` holds every sentence's tokens in order, `lengths`
+    their counts and `anchors` one index into each sentence."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    anchors = np.asarray(anchors, dtype=np.intp)
+    check_anchors(anchors, lengths)
+    offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths + anchors,
+                                                 lengths)
     pos_rows = take_rows(pos.table, pos.row_indices(offsets))
-    return EncodedSentence(h0=concat([pos_rows, word_rows(tokens, emb, words)], axis=1),
-                           anchor=anchor)
+    return concat([pos_rows, word_rows(tokens, emb, words)], axis=1)
 
 
-def encode_rows(examples, emb: EmbeddingTable, pos: PositionTable,
-                words: WordTable | None = None) -> np.ndarray:
-    """Tape-free `encode` of many sentences: their input matrices stacked
-    row-wise, in order, into one (total tokens, pos.dim + emb.dim) array."""
-    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
-    anchors = np.array([ex.anchor for ex in examples], dtype=np.intp)
-    for anchor, n in zip(anchors.tolist(), lengths.tolist()):
-        _check_anchor(anchor, n)
-    seg = np.repeat(np.arange(len(examples)), lengths)
-    offsets = np.arange(lengths.sum()) - (np.cumsum(lengths) - lengths + anchors)[seg]
-    tokens = [t for ex in examples for t in ex.tokens]
-    return np.concatenate([pos.table.data[pos.row_indices(offsets)],
-                           word_rows(tokens, emb, words).data], axis=1)
-
-
-def keyword_repr(keywords, emb: EmbeddingTable,
+def keyword_repr(keyword_sets, emb: EmbeddingTable,
                  words: WordTable | None = None) -> Tensor:
-    """Average of the keyword vectors; iteration order is sorted so the
-    result is a pure function of the set."""
-    kws = sorted(keywords)
-    if not kws:
-        raise ValueError("keyword set is empty")
-    if words is None:
-        return Tensor(emb.rows(kws).mean(axis=0))
-    weights = Tensor(np.full(len(kws), 1.0 / len(kws)))
-    return matmul(weights, words.rows(kws))
+    """(len(keyword_sets), emb.dim): the average of each set's keyword vectors,
+    as one product of an averaging matrix with the vectors. Each set is read
+    in sorted order, so a row is a pure function of its set."""
+    sets = []
+    for kws in keyword_sets:
+        if isinstance(kws, str):
+            raise TypeError("keyword_repr takes a sequence of keyword sets")
+        if not kws:
+            raise ValueError("keyword set is empty")
+        sets.append(sorted(kws))
+    average = np.zeros((len(sets), sum(len(kws) for kws in sets)))
+    start = 0
+    for row, kws in zip(average, sets):
+        row[start:start + len(kws)] = 1.0 / len(kws)
+        start += len(kws)
+    return matmul(Tensor(average), word_rows([k for kws in sets for k in kws], emb, words))

@@ -11,12 +11,14 @@ to a single vector R with one of two heads:
 R passes through dropout (training only) and a one-hidden-layer FFN ending in
 two logits. Variant names: concat, attention, concat-cfa, attention-cfa.
 
-`Model.forward` runs one example on the autodiff tape and is what training
-uses. `Model.predict_batch` scores many examples at once without a tape: it
-packs up to SCORE_TOKENS tokens of consecutive sentences into one matrix,
-separated by zero rows, so every layer is a few matrix products per chunk.
-Its logits equal the per-example forward up to the summation order inside
-those products.
+`Model.forward_batch` is the one forward: it packs the sentences of a batch
+row after row into one matrix and passes their lengths to every layer, so a
+layer is a few matrix products per batch (each convolution still pads every
+sentence on its own), and per-sentence vectors (V_K, the CFA scale and
+shift, the attention query) are (B, .) rows. On the tape it is what
+training runs, one example at a time through `Model.forward`; without a
+tape, `Model.predict_batch` runs it over chunks of up to SCORE_TOKENS
+tokens.
 
 Every parameter is initialized uniformly in [-0.1, 0.1] from a stream keyed
 by (seed, "init", parameter name), so two configs sharing a seed assign
@@ -35,8 +37,8 @@ from .encoding import (
     EmbeddingTable,
     PositionTable,
     WordTable,
+    check_anchors,
     encode,
-    encode_rows,
     keyword_repr,
 )
 from .metrics import predicted_labels
@@ -51,9 +53,9 @@ ACTIVATIONS = {
 
 HEADS = ("concat", "attention")
 
-# Tokens per chunk of the packed scoring path; a longer sentence is a chunk of
-# its own. With one BLAS thread on a 2-core machine, chunks of 256 to 512
-# tokens scored equally fast within noise; 128 and 2048 were 10-20% slower.
+# Tokens per chunk of predict_batch; a longer sentence is a chunk of its own.
+# With one BLAS thread on a 2-core machine, 512 scored the three benchmark
+# score sets fastest; 256 was 3-5% slower, 1024 up to 15% and 2048 up to 29%.
 SCORE_TOKENS = 512
 
 VARIANTS = {
@@ -175,36 +177,40 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
 # building blocks
 
 
-def cnn_layer(h_prev: Tensor, window_params, act) -> Tensor:
-    """Length-preserving conv block: per window size, conv then nonlinearity;
-    outputs concatenated feature-wise in the given window order."""
-    outs = [act(ad.conv1d_same(h_prev, filt, bias)) for filt, bias in window_params]
+def cnn_layer(h_prev: Tensor, lengths, window_params, act) -> Tensor:
+    """Length-preserving conv block over packed sentences: per window size,
+    conv then nonlinearity; outputs concatenated feature-wise in the given
+    window order."""
+    outs = [act(ad.conv1d_same(h_prev, filt, bias, lengths)) for filt, bias in window_params]
     return ad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
 
 
-def cfa_condition(h: Tensor, v_k: Tensor, gamma_w, gamma_b, beta_w, beta_b, act) -> Tensor:
-    """Modulate every position of h by a keyword-predicted (scale, shift)."""
+def cfa_condition(h: Tensor, lengths, v_k: Tensor, gamma_w, gamma_b, beta_w, beta_b,
+                  act) -> Tensor:
+    """Modulate every row of each sentence by a (scale, shift) predicted from
+    its keyword row of v_k."""
     gamma = act(ad.affine(gamma_w, v_k, gamma_b))
     beta = act(ad.affine(beta_w, v_k, beta_b))
-    return ad.scale_shift_rows(h, gamma, beta)
+    return ad.scale_shift_rows(h, gamma, beta, lengths)
 
 
-def head_concat(h_m: Tensor, v_k: Tensor) -> Tensor:
-    return ad.concat([ad.maxpool_time(h_m), v_k], axis=0)
+def head_concat(h_m: Tensor, lengths, v_k: Tensor) -> Tensor:
+    return ad.concat([ad.maxpool_time(h_m, lengths), v_k], axis=1)
 
 
-def head_attention(h_m: Tensor, v_k: Tensor, anchor: int,
+def head_attention(h_m: Tensor, lengths, v_k: Tensor, anchors,
                    u_w, u_b, c_w, c_b, act, aux: dict | None = None) -> Tensor:
-    """Keyword+anchor-queried weighted sum over positions."""
-    n = h_m.data.shape[0]
-    if not 0 <= anchor < n:
-        raise ValueError(f"anchor {anchor} outside 0..{n - 1}")
+    """Per sentence, a keyword+anchor-queried weighted sum over its rows.
+    aux["alpha"], if asked for, holds the weights of every row in order."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    check_anchors(anchors, lengths)
     keys = act(ad.linear_rows(h_m, u_w, u_b))
-    query = act(ad.affine(c_w, ad.concat([v_k, ad.take_row(h_m, anchor)]), c_b))
-    alpha = ad.softmax(ad.matmul(keys, query))
+    anchor_rows = ad.take_rows(h_m, np.cumsum(lengths) - lengths + anchors)
+    query = act(ad.affine(c_w, ad.concat([v_k, anchor_rows], axis=1), c_b))
+    alpha = ad.softmax(ad.row_scores(keys, query, lengths), lengths)
     if aux is not None:
         aux["alpha"] = alpha.data.copy()
-    return ad.matmul(alpha, h_m)
+    return ad.weighted_row_sum(alpha, h_m, lengths)
 
 
 class Model:
@@ -239,34 +245,36 @@ class Model:
         return [(p[f"conv{i}.w{w}.filters"], p[f"conv{i}.w{w}.bias"])
                 for w in self.config.windows]
 
-    def forward(self, example, train: bool = False, rng=None,
-                aux: dict | None = None) -> Tensor:
-        """Two logits for one example. Training mode applies inverted dropout
-        to R and requires an rng; eval mode is deterministic."""
-        cfg = self.config
+    def forward_batch(self, examples, train: bool = False, rng=None,
+                      aux: dict | None = None) -> Tensor:
+        """(len(examples), 2) logits. The sentences are packed row after row
+        into one matrix; see the module docstring. Training mode applies
+        inverted dropout to R and requires an rng; eval mode is deterministic.
+        An anchor outside its sentence raises ValueError."""
+        cfg, p = self.config, self.params
         conv_act = ACTIVATIONS[cfg.conv_act]
-        enc = encode(example.tokens, example.anchor, self.emb, self.pos, self.words)
-        v_k = keyword_repr(example.keywords, self.emb, self.words)
+        lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
+        anchors = np.array([ex.anchor for ex in examples], dtype=np.intp)
+        h = encode([t for ex in examples for t in ex.tokens], lengths, anchors,
+                   self.emb, self.pos, self.words)
+        v_k = keyword_repr([ex.keywords for ex in examples], self.emb, self.words)
 
-        h = enc.h0
         cfa_at = set(cfg.cfa_layers())
         for i in range(1, cfg.layers + 1):
-            h = cnn_layer(h, self._layer_windows(i), conv_act)
+            h = cnn_layer(h, lengths, self._layer_windows(i), conv_act)
             if i in cfa_at:
-                p = self.params
                 h = cfa_condition(
-                    h, v_k,
+                    h, lengths, v_k,
                     p[f"cfa{i}.gamma.w"], p[f"cfa{i}.gamma.b"],
                     p[f"cfa{i}.beta.w"], p[f"cfa{i}.beta.b"],
                     ACTIVATIONS[cfg.cfa_act],
                 )
 
         if cfg.head == "concat":
-            r = head_concat(h, v_k)
+            r = head_concat(h, lengths, v_k)
         else:
-            p = self.params
             r = head_attention(
-                h, v_k, enc.anchor,
+                h, lengths, v_k, anchors,
                 p["attn.u.w"], p["attn.u.b"], p["attn.c.w"], p["attn.c.b"],
                 ACTIVATIONS[cfg.attn_act], aux=aux,
             )
@@ -278,9 +286,13 @@ class Model:
             mask = (rng.random(r.data.shape) < keep) / keep
             r = ad.mul(r, Tensor(mask))
 
-        hidden = conv_act(ad.affine(self.params["ffn.hidden.w"], r,
-                                    self.params["ffn.hidden.b"]))
-        return ad.affine(self.params["ffn.out.w"], hidden, self.params["ffn.out.b"])
+        hidden = conv_act(ad.affine(p["ffn.hidden.w"], r, p["ffn.hidden.b"]))
+        return ad.affine(p["ffn.out.w"], hidden, p["ffn.out.b"])
+
+    def forward(self, example, train: bool = False, rng=None,
+                aux: dict | None = None) -> Tensor:
+        """Two logits for one example: row 0 of forward_batch([example])."""
+        return ad.take_rows(self.forward_batch([example], train=train, rng=rng, aux=aux), 0)
 
     def loss(self, example, train: bool = False, rng=None) -> Tensor:
         return ad.cross_entropy(self.forward(example, train=train, rng=rng),
@@ -292,56 +304,15 @@ class Model:
 
     def predict_batch(self, examples) -> np.ndarray:
         """Predicted labels (0/1, in order) of eval-mode forwards over many
-        examples, computed without a tape; an exact logit tie counts as
-        negative. An anchor outside its sentence raises ValueError, as in
-        forward."""
+        examples; an exact logit tie counts as negative. An anchor outside its
+        sentence raises ValueError, as in forward."""
         return predicted_labels(self.logits_batch(examples))
 
     def logits_batch(self, examples) -> np.ndarray:
-        """(len(examples), 2) eval-mode logits, chunk by chunk (see _chunks)."""
-        logits = [self._chunk_logits(chunk) for chunk in _chunks(examples)]
+        """(len(examples), 2) eval-mode logits: forward_batch without a tape,
+        chunk by chunk (see _chunks)."""
+        logits = [self.forward_batch(chunk).data for chunk in _chunks(examples)]
         return np.concatenate(logits) if logits else np.zeros((0, 2))
-
-    def _chunk_logits(self, chunk) -> np.ndarray:
-        """The forward of every layer over the chunk's sentences at once.
-
-        h holds the real rows only, sentence after sentence. Each conv reads
-        them through the packed layout of _PackedRows, where zero rows between
-        sentences stand in for the "same" padding of the per-example conv.
-        Per-example vectors (V_K, CFA scale and shift, attention queries) are
-        (B, .) matrices broadcast to the rows of their sentence.
-        """
-        cfg, p = self.config, self.params
-        conv_act = ACTIVATIONS[cfg.conv_act]
-        h = encode_rows(chunk, self.emb, self.pos, self.words)
-        v_k = np.stack([keyword_repr(ex.keywords, self.emb, self.words).data
-                        for ex in chunk])
-        packed = _PackedRows([len(ex.tokens) for ex in chunk], max(cfg.windows) // 2)
-
-        cfa_at, cfa_act = set(cfg.cfa_layers()), ACTIVATIONS[cfg.cfa_act]
-        for i in range(1, cfg.layers + 1):
-            h = _packed_cnn_layer(h, packed, self._layer_windows(i), conv_act)
-            if i in cfa_at:
-                gamma = _dense(v_k, p[f"cfa{i}.gamma.w"], p[f"cfa{i}.gamma.b"], cfa_act)
-                beta = _dense(v_k, p[f"cfa{i}.beta.w"], p[f"cfa{i}.beta.b"], cfa_act)
-                h = h * packed.spread(gamma) + packed.spread(beta)
-
-        starts = packed.starts
-        if cfg.head == "concat":
-            r = np.concatenate([np.maximum.reduceat(h, starts, axis=0), v_k], axis=1)
-        else:
-            attn_act = ACTIVATIONS[cfg.attn_act]
-            anchors = np.array([ex.anchor for ex in chunk])
-            keys = attn_act(Tensor(h @ p["attn.u.w"].data + p["attn.u.b"].data)).data
-            query = _dense(np.concatenate([v_k, h[starts + anchors]], axis=1),
-                           p["attn.c.w"], p["attn.c.b"], attn_act)
-            scores = np.einsum("ij,ij->i", keys, packed.spread(query))
-            e = np.exp(scores - packed.spread(np.maximum.reduceat(scores, starts)))
-            alpha = e / packed.spread(np.add.reduceat(e, starts))
-            r = np.add.reduceat(alpha[:, None] * h, starts, axis=0)
-
-        hidden = _dense(r, p["ffn.hidden.w"], p["ffn.hidden.b"], conv_act)
-        return hidden @ p["ffn.out.w"].data.T + p["ffn.out.b"].data
 
 
 def _chunks(examples, budget: int = SCORE_TOKENS):
@@ -356,59 +327,6 @@ def _chunks(examples, budget: int = SCORE_TOKENS):
         size += len(ex.tokens)
     if chunk:
         yield chunk
-
-
-def _dense(x, weight: Tensor, bias: Tensor, act) -> np.ndarray:
-    """act(x @ weight.T + bias) for a (B, k) batch of the vectors `affine` takes."""
-    return act(Tensor(x @ weight.data.T + bias.data)).data
-
-
-class _PackedRows:
-    """Row layout of one chunk: `gap` zero rows, then each sentence followed
-    by `gap` zero rows. With gap at least every window's right padding
-    (window // 2, never less than the left padding), a conv over the packed
-    rows reads a sentence's own rows and zeros only, as conv1d_same does.
-    Real rows keep their order: sentence i is h[starts[i]:starts[i] + n_i].
-    """
-
-    def __init__(self, lengths, gap: int):
-        self.lengths = np.array(lengths, dtype=np.intp)
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.gap = gap
-        seg = np.repeat(np.arange(len(self.lengths)), self.lengths)
-        # real row k sits gap * (its sentence index + 1) rows further down
-        self.rows = np.arange(self.lengths.sum()) + gap * (seg + 1)
-        self.total = int(self.lengths.sum()) + gap * (len(self.lengths) + 1)
-
-    def spread(self, per_sentence: np.ndarray) -> np.ndarray:
-        """Repeat row i of a per-sentence array once per token of sentence i."""
-        return np.repeat(per_sentence, self.lengths, axis=0)
-
-
-def _packed_conv(h: np.ndarray, packed: _PackedRows, filters: Tensor,
-                 bias: Tensor) -> np.ndarray:
-    """conv1d_same of every sentence at once: one product of the real rows
-    with all taps side by side, placed in the packed layout, then one shifted
-    slice-add per tap. Returns the real rows, (len(h), f)."""
-    w, d_in, f = filters.data.shape
-    y = np.zeros((packed.total, w * f))
-    y[packed.rows] = h @ filters.data.transpose(1, 0, 2).reshape(d_in, w * f)
-    # output row t is sum_j y[t - left + j, tap j], computed for every row t
-    # between the outer gaps
-    start, n = packed.gap - (w - 1) // 2, packed.total - 2 * packed.gap
-    out = y[start:start + n, :f].copy()
-    for j in range(1, w):
-        out += y[start + j:start + j + n, j * f:(j + 1) * f]
-    return out[packed.rows - packed.gap] + bias.data
-
-
-def _packed_cnn_layer(h: np.ndarray, packed: _PackedRows, window_params,
-                      act) -> np.ndarray:
-    """cnn_layer over the packed rows: per window, conv then nonlinearity,
-    features concatenated in window order."""
-    return np.concatenate(
-        [act(Tensor(_packed_conv(h, packed, filt, bias))).data
-         for filt, bias in window_params], axis=1)
 
 
 def identity_cfa_surgery(model: Model):

@@ -99,6 +99,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.neg_keep is not None and not 0.0 < self.neg_keep <= 1.0:
             raise ValueError(f"neg_keep must be in (0, 1], got {self.neg_keep}")
+        if not 0.0 < self.lr < float("inf"):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass

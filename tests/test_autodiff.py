@@ -60,7 +60,10 @@ def test_matmul_gradient_matches_finite_differences():
     assert max_rel_error(ta.grad, numeric) < 1e-6
 
 
-@pytest.mark.parametrize("sa,sb", [((3, 4), (4, 2)), ((3, 4), (4,)), ((3,), (3, 2)), ((4,), (4,))])
+# matrix-matrix, and the matrix-vector, vector-matrix and dot shapes as
+# one-column and one-row matrices
+@pytest.mark.parametrize("sa,sb", [((3, 4), (4, 2)), ((3, 4), (4, 1)), ((1, 3), (3, 2)),
+                                   ((1, 4), (4, 1))])
 def test_matmul_all_arities_gradcheck(sa, sb):
     rng = np.random.default_rng(7)
     check_grads(ad.matmul, rng.uniform(-2, 2, sa), rng.uniform(-2, 2, sb))
@@ -191,7 +194,7 @@ def test_non_leaf_weight_gradient(op):
     # complete before the rule of the op that made it runs.
     rng = np.random.default_rng(4)
     if op == "affine":
-        w_shape, x, b = (3, 4), rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 3)
+        w_shape, x, b = (3, 4), rng.uniform(-2, 2, (2, 4)), rng.uniform(-2, 2, 3)
     else:
         w_shape, x, b = (3, 2, 4), rng.uniform(-2, 2, (5, 2)), rng.uniform(-2, 2, 4)
     raw = rng.uniform(-2, 2, w_shape)
@@ -224,12 +227,12 @@ def test_op_outputs_are_not_leaves():
 
 def test_maxpool_single_row():
     out = ad.maxpool_time(Tensor([[1.0, -2.0, 3.0]]))
-    np.testing.assert_array_equal(out.data, [1.0, -2.0, 3.0])
+    np.testing.assert_array_equal(out.data, [[1.0, -2.0, 3.0]])
 
 
 def test_maxpool_columnwise_max():
     out = ad.maxpool_time(Tensor([[1.0, 5.0], [3.0, 2.0]]))
-    np.testing.assert_array_equal(out.data, [3.0, 5.0])
+    np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
 
 
 def test_maxpool_empty_rejected():
@@ -387,7 +390,8 @@ def test_mean_gradcheck():
 
 def test_affine_gradcheck():
     rng = np.random.default_rng(12)
-    check_grads(ad.affine, rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 3))
+    check_grads(ad.affine, rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (2, 4)),
+                rng.uniform(-2, 2, 3))
 
 
 def test_linear_rows_gradcheck():
@@ -400,7 +404,8 @@ def test_linear_rows_gradcheck():
 def test_scale_shift_rows_gradcheck():
     rng = np.random.default_rng(14)
     check_grads(
-        ad.scale_shift_rows, rng.uniform(-2, 2, (5, 4)), rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
+        ad.scale_shift_rows, rng.uniform(-2, 2, (5, 4)), rng.uniform(-2, 2, (1, 4)),
+        rng.uniform(-2, 2, (1, 4))
     )
 
 
@@ -409,7 +414,7 @@ def test_take_row_and_take_rows_gradients():
     data = rng.uniform(-2, 2, (4, 3))
     t = Tensor(data, requires_grad=True)
     with Tape() as tape:
-        loss = ad.mean(ad.take_row(t, 2))
+        loss = ad.mean(ad.take_rows(t, 2))
     tape.backward(loss)
     expected = np.zeros_like(data)
     expected[2] = 1 / 3
@@ -440,6 +445,74 @@ def test_concat_gradcheck():
 
 
 # ---------------------------------------------------------------------------
+# packed sentences
+
+LENGTHS = [1, 4, 2, 5]      # sentences shorter and longer than the windows
+N_ROWS = sum(LENGTHS)
+
+
+def split_rows(x):
+    return np.split(x, np.cumsum(LENGTHS)[:-1])
+
+
+# name -> (op, input shapes, per input: split by sentence (True), one row per
+# sentence (False) or shared (None)); each op takes the lengths last
+PACKED_OPS = {
+    "conv1d_same_w1": (ad.conv1d_same, [(N_ROWS, 3), (1, 3, 2), (2,)], [True, None, None]),
+    "conv1d_same_w4": (ad.conv1d_same, [(N_ROWS, 3), (4, 3, 2), (2,)], [True, None, None]),
+    "conv1d_same_w5": (ad.conv1d_same, [(N_ROWS, 3), (5, 3, 2), (2,)], [True, None, None]),
+    "maxpool_time": (ad.maxpool_time, [(N_ROWS, 3)], [True]),
+    "softmax": (ad.softmax, [(N_ROWS,)], [True]),
+    "scale_shift_rows": (ad.scale_shift_rows, [(N_ROWS, 3), (4, 3), (4, 3)],
+                         [True, False, False]),
+    "row_scores": (ad.row_scores, [(N_ROWS, 3), (4, 3)], [True, False]),
+    "weighted_row_sum": (ad.weighted_row_sum, [(N_ROWS,), (N_ROWS, 3)], [True, True]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_OPS))
+def test_packed_op_equals_the_op_per_sentence(name):
+    # Over packed sentences an op computes each sentence as if it were alone,
+    # and its gradients match finite differences; a nonlinear, weighted loss
+    # makes every gradient entry count.
+    op, shapes, split = PACKED_OPS[name]
+    rng = np.random.default_rng(len(name))
+    arrays = [rng.uniform(-2, 2, shape) for shape in shapes]
+    probe = rng.uniform(-2, 2, op(*map(Tensor, arrays), LENGTHS).shape)
+
+    def loss_of(tensors):
+        return ad.mean(ad.mul(ad.tanh(op(*tensors, LENGTHS)), Tensor(probe)))
+
+    packed = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*packed, LENGTHS)
+        loss = loss_of(packed)
+    tape.backward(loss)
+
+    alone = []
+    for b in range(len(LENGTHS)):
+        args = [split_rows(a)[b] if sp else (a[b:b + 1] if sp is False else a)
+                for a, sp in zip(arrays, split)]
+        alone.append(op(*map(Tensor, args)).data)
+    want = np.concatenate(alone)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+    for t, a in zip(packed, arrays):
+        numeric = central_diff(lambda: loss_of([Tensor(x) for x in arrays]).item(), a)
+        assert max_rel_error(t.grad, numeric) < 1e-6
+
+
+def test_packed_op_lengths_must_cover_the_rows():
+    with pytest.raises(ad.ShapeError, match="lengths"):
+        ad.maxpool_time(Tensor(np.zeros((5, 2))), [2, 2])
+    with pytest.raises(ad.ShapeError, match="lengths"):
+        ad.softmax(Tensor(np.zeros(3)), [3, 0])
+    with pytest.raises(ad.ShapeError, match="2 scales for 3 sentences"):
+        ad.scale_shift_rows(Tensor(np.zeros((3, 2))), Tensor(np.ones((2, 2))),
+                            Tensor(np.zeros((2, 2))), [1, 1, 1])
+
+
+# ---------------------------------------------------------------------------
 # tape mechanics
 
 
@@ -447,15 +520,15 @@ def test_composed_chain_matches_hand_assembled_jacobians():
     # x -> A = W @ x -> t = tanh(A) -> s = mean(t); three recorded ops.
     rng = np.random.default_rng(17)
     w = rng.uniform(-2, 2, (2, 3))
-    x = rng.uniform(-2, 2, 3)
+    x = rng.uniform(-2, 2, (3, 1))
     tx = Tensor(x, requires_grad=True)
     with Tape() as tape:
         s = ad.mean(ad.tanh(ad.matmul(Tensor(w), tx)))
     assert len(tape) == 3
     tape.backward(s)
     # hand chain rule: ds/dt = 1/2, dt/dA = diag(1 - tanh(Wx)^2), dA/dx = W
-    t = np.tanh(w @ x)
-    hand = ((np.full(2, 0.5) * (1 - t * t)) @ w)
+    t = np.tanh(w @ x[:, 0])
+    hand = ((np.full(2, 0.5) * (1 - t * t)) @ w)[:, None]
     np.testing.assert_allclose(tx.grad, hand, rtol=1e-12)
 
 

@@ -19,32 +19,33 @@ def emb_with(vocab, dim=4, seed=0):
 def test_window_truncates_to_single_token():
     emb = emb_with(["x", "k"])
     ex = LFKExample(["x"], 0, ("k",), 1)
-    feats = featurize(ex, emb)
-    assert (feats.context_avg == emb.lookup("x")).all()
-    assert (feats.keyword_avg == emb.lookup("k")).all()
-    assert feats.vector.shape == (8,)
+    feats = featurize([ex], emb)
+    assert (feats.context_avg[0] == emb.lookup("x")).all()
+    assert (feats.keyword_avg[0] == emb.lookup("k")).all()
+    assert feats.vector.shape == (1, 8)
 
 
 def test_window_of_identical_tokens():
     emb = emb_with(["x", "k"])
     ex = LFKExample(["x"] * 5, 2, ("k",), 1)
-    feats = featurize(ex, emb)
-    assert np.abs(feats.context_avg - emb.lookup("x")).max() < 1e-15
+    feats = featurize([ex], emb)
+    assert np.abs(feats.context_avg[0] - emb.lookup("x")).max() < 1e-15
 
 
 def test_featurize_matches_loop_oracle():
     vocab = [f"w{i}" for i in range(9)] + ["k0", "k1"]
     emb = emb_with(vocab, dim=6, seed=1)
-    for anchor in (0, 1, 4, 7, 8):
-        ex = LFKExample([f"w{i}" for i in range(9)], anchor, ("k0", "k1"), 0)
-        feats = featurize(ex, emb)
+    anchors = (0, 1, 4, 7, 8)
+    feats = featurize([LFKExample([f"w{i}" for i in range(9)], anchor, ("k0", "k1"), 0)
+                       for anchor in anchors], emb)
+    for row, anchor in enumerate(anchors):
         lo, hi = max(0, anchor - 2), min(9, anchor + 3)
         acc = np.zeros(6)
         count = 0
         for i in range(lo, hi):
             acc += emb.lookup(f"w{i}")
             count += 1
-        assert np.abs(feats.context_avg - acc / count).max() < 1e-12
+        assert np.abs(feats.context_avg[row] - acc / count).max() < 1e-12
 
 
 def test_zero_init_predicts_negative_everywhere():

@@ -282,6 +282,18 @@ def test_train_missing_dataset(synth_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+def test_train_rejects_a_learning_rate_that_is_not_finite_and_positive(
+        synth_dir, data_dir, tmp_path, capsys, lr):
+    # -1 used to train by gradient ascent and exit 0; nan used to exit 3
+    rc = run_cli("train", "--model", "concat", "--data-dir", data_dir,
+                 "--embeddings", synth_dir / "embeddings.txt",
+                 "--out", tmp_path / "x", "--lr", lr, *TINY_NET)
+    assert rc == 2
+    assert "lr must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_train_numeric_failure_exit_code(synth_dir, data_dir, tmp_path, capsys):
     # an embedding file with a non-finite vector blows up the first batch
     bad = tmp_path / "bad_emb.txt"

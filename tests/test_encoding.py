@@ -112,53 +112,65 @@ def test_position_table_shape_and_clamp():
 
 def test_encode_single_token():
     emb, pos = table(), ptable()
-    enc = encode(["cat"], 0, emb, pos)
-    assert enc.h0.shape == (1, 7)
+    enc = encode(["cat"], [1], [0], emb, pos)
+    assert enc.shape == (1, 7)
     want = np.concatenate([pos.table.data[3], emb.lookup("cat")])
-    assert (enc.h0.data[0] == want).all()
+    assert (enc.data[0] == want).all()
 
 
 def test_encode_offsets_from_anchor():
     emb, pos = table(), ptable()
-    enc = encode(["cat", "dog", "cat"], 0, emb, pos)
+    enc = encode(["cat", "dog", "cat"], [3], [0], emb, pos)
     # anchor at 0: offsets 0, 1, 2 -> table rows 3, 4, 5
     for i, row in enumerate([3, 4, 5]):
-        assert (enc.h0.data[i, :4] == pos.table.data[row]).all()
-        assert (enc.h0.data[i, 4:] == emb.lookup(["cat", "dog", "cat"][i])).all()
+        assert (enc.data[i, :4] == pos.table.data[row]).all()
+        assert (enc.data[i, 4:] == emb.lookup(["cat", "dog", "cat"][i])).all()
 
 
 def test_encode_clamps_large_offsets():
     emb = EmbeddingTable({}, 3, oov_policy="zero")
     pos = PositionTable(4, 30, rng_for(1, "pos"))
-    enc = encode([f"w{i}" for i in range(50)], 0, emb, pos)
+    enc = encode([f"w{i}" for i in range(50)], [50], [0], emb, pos)
     # row 49 has offset 49, clamped to 30
-    assert (enc.h0.data[49, :4] == pos.table.data[60]).all()
-    assert (enc.h0.data[49, :4] == enc.h0.data[30, :4]).all()
-    assert not (enc.h0.data[29, :4] == enc.h0.data[30, :4]).all()
+    assert (enc.data[49, :4] == pos.table.data[60]).all()
+    assert (enc.data[49, :4] == enc.data[30, :4]).all()
+    assert not (enc.data[29, :4] == enc.data[30, :4]).all()
 
 
 def test_encode_anchor_out_of_range():
     with pytest.raises(ValueError, match="anchor 3"):
-        encode(["a", "b"], 3, table(), ptable())
+        encode(["a", "b"], [2], [3], table(), ptable())
 
 
 def test_encode_shape_property():
     emb, pos = table(), ptable()
     for n in (1, 2, 5, 11):
-        enc = encode([f"w{i}" for i in range(n)], n // 2, emb, pos)
-        assert enc.h0.shape == (n, pos.dim + emb.dim)
+        enc = encode([f"w{i}" for i in range(n)], [n], [n // 2], emb, pos)
+        assert enc.shape == (n, pos.dim + emb.dim)
 
 
 def test_position_grads_flow_words_stay_frozen():
     emb, pos = table(), ptable()
     before = emb.vectors["cat"].copy()
     with Tape() as tape:
-        enc = encode(["cat", "dog"], 1, emb, pos)
+        enc = encode(["cat", "dog"], [2], [1], emb, pos)
         from lfked.autodiff import mean
 
-        tape.backward(mean(enc.h0))
+        tape.backward(mean(enc))
     assert pos.table.grad is not None and np.abs(pos.table.grad).sum() > 0
     assert (emb.vectors["cat"] == before).all()
+
+
+def test_encode_packs_sentences_one_after_another():
+    emb, pos = table(policy="random-fixed"), ptable()
+    sentences = [(["cat"], 0), (["dog", "cat", "bird", "cat"], 3), (["bird", "dog"], 0)]
+    tokens = [t for toks, _ in sentences for t in toks]
+    packed = encode(tokens, [len(t) for t, _ in sentences], [a for _, a in sentences],
+                    emb, pos).data
+    alone = [encode(toks, [len(toks)], [a], emb, pos).data for toks, a in sentences]
+    assert (packed == np.concatenate(alone)).all()
+    with pytest.raises(ValueError, match="anchor 2 outside 0..1"):
+        encode(tokens, [1, 2, 4], [0, 2, 0], emb, pos)
 
 
 # --- keyword representation -------------------------------------------------
@@ -166,21 +178,21 @@ def test_position_grads_flow_words_stay_frozen():
 
 def test_keyword_repr_singleton():
     emb = table()
-    assert (keyword_repr({"cat"}, emb).data == emb.lookup("cat")).all()
+    assert (keyword_repr([{"cat"}], emb).data[0] == emb.lookup("cat")).all()
 
 
 def test_keyword_repr_opposite_vectors_cancel():
     emb = EmbeddingTable(
         {"plus": np.array([1.0, -2.0]), "minus": np.array([-1.0, 2.0])}, 2,
     )
-    assert (keyword_repr({"plus", "minus"}, emb).data == np.zeros(2)).all()
+    assert (keyword_repr([{"plus", "minus"}], emb).data[0] == np.zeros(2)).all()
 
 
 def test_keyword_repr_matches_loop_oracle():
     rng = rng_for(3, "kw")
     vecs = {f"k{i}": rng.normal(size=6) for i in range(4)}
     emb = EmbeddingTable(vecs, 6)
-    got = keyword_repr(set(vecs), emb).data
+    got = keyword_repr([set(vecs)], emb).data[0]
     acc = np.zeros(6)
     for v in vecs.values():
         acc += v
@@ -189,14 +201,25 @@ def test_keyword_repr_matches_loop_oracle():
 
 def test_keyword_repr_permutation_invariant():
     emb = table(policy="random-fixed", seed=2)
-    a = keyword_repr(["cat", "dog", "bird"], emb).data
-    b = keyword_repr(["bird", "cat", "dog"], emb).data
+    a = keyword_repr([["cat", "dog", "bird"]], emb).data
+    b = keyword_repr([["bird", "cat", "dog"]], emb).data
     assert (a == b).all()
 
 
 def test_keyword_repr_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
-        keyword_repr(set(), table())
+        keyword_repr([{"cat"}, set()], table())
+
+
+def test_keyword_repr_one_row_per_set():
+    emb = table(policy="random-fixed", seed=2)
+    sets = [("cat",), ("dog", "bird"), ("bird", "cat", "dog")]
+    rows = keyword_repr(sets, emb).data
+    assert rows.shape == (3, 3)
+    for row, kws in zip(rows, sets):
+        assert np.abs(row - keyword_repr([kws], emb).data[0]).max() < 1e-15
+    with pytest.raises(TypeError, match="sequence of keyword sets"):
+        keyword_repr({"cat", "dog"}, emb)
 
 
 # --- trainable word table ---------------------------------------------------
@@ -210,18 +233,18 @@ def test_word_table_lookup_and_grads():
 
     pos = ptable()
     with Tape() as tape:
-        enc = encode(["cat", "dog"], 0, emb, pos, words=words)
+        enc = encode(["cat", "dog"], [2], [0], emb, pos, words=words)
         from lfked.autodiff import mean
 
-        tape.backward(mean(enc.h0))
+        tape.backward(mean(enc))
     assert np.abs(words.matrix.grad).sum() > 0
 
 
 def test_word_table_keyword_repr_matches_frozen():
     emb = table(policy="random-fixed", seed=1)
     words = WordTable(emb, ["cat", "dog"])
-    frozen = keyword_repr(["cat", "dog"], emb).data
-    trainable = keyword_repr(["cat", "dog"], emb, words=words).data
+    frozen = keyword_repr([["cat", "dog"]], emb).data
+    trainable = keyword_repr([["cat", "dog"]], emb, words=words).data
     assert np.abs(frozen - trainable).max() < 1e-15
 
 
@@ -238,15 +261,15 @@ def test_word_table_unseen_tokens_keep_frozen_vectors():
     tokens = ["zzunseen", "cat", "bird", "dog", "zzunseen"]
     pos = ptable()
     with Tape() as tape:
-        enc = encode(tokens, 1, emb, pos, words=words)
+        enc = encode(tokens, [len(tokens)], [1], emb, pos, words=words)
         from lfked.autodiff import mean
 
-        tape.backward(mean(enc.h0))
-    rows = enc.h0.data[:, pos.dim:]
+        tape.backward(mean(enc))
+    rows = enc.data[:, pos.dim:]
     for i, t in enumerate(tokens):
         want = words.matrix.data[words.index[t]] if t in words.index else emb.lookup(t)
         assert (rows[i] == want).all(), t
     assert (words.matrix.grad != 0).all()          # only cat and dog rows exist
-    kw = keyword_repr(["zzunseen", "cat"], emb, words=words).data
+    kw = keyword_repr([["zzunseen", "cat"]], emb, words=words).data[0]
     want = (emb.lookup("zzunseen") + words.matrix.data[words.index["cat"]]) / 2
     assert np.abs(kw - want).max() < 1e-15

@@ -1,5 +1,8 @@
 """Model building blocks, the four variants, and end-to-end gradients."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,7 +130,7 @@ def test_cnn_layer_zero_input_gives_activated_bias():
     wp = []
     for w in (2, 3):
         wp.append((Tensor(rng.normal(size=(w, 5, 3))), Tensor(rng.normal(size=3))))
-    out = cnn_layer(h, wp, ACTIVATIONS["tanh"])
+    out = cnn_layer(h, [4], wp, ACTIVATIONS["tanh"])
     assert out.shape == (4, 6)
     want = np.concatenate([np.tanh(wp[0][1].data), np.tanh(wp[1][1].data)])
     assert np.abs(out.data - want).max() < 1e-15
@@ -140,7 +143,7 @@ def test_cnn_layer_matches_per_window_oracle():
         (Tensor(rng.normal(size=(w, 4, 2))), Tensor(rng.normal(size=2)))
         for w in (1, 2, 3)
     ]
-    out = cnn_layer(h, wp, ACTIVATIONS["tanh"])
+    out = cnn_layer(h, [6], wp, ACTIVATIONS["tanh"])
     pieces = [np.tanh(ad.conv1d_same(h, f, b).data) for f, b in wp]
     assert np.abs(out.data - np.concatenate(pieces, axis=1)).max() < 1e-12
 
@@ -148,42 +151,42 @@ def test_cnn_layer_matches_per_window_oracle():
 def test_cfa_identity_and_degenerate_cases():
     rng = rng_for(2, "t")
     h = Tensor(rng.normal(size=(5, 4)))
-    v = Tensor(rng.normal(size=3))
+    v = Tensor(rng.normal(size=(1, 3)))
     zeros_w = Tensor(np.zeros((4, 3)))
     ones_b = Tensor(np.ones(4))
     zeros_b = Tensor(np.zeros(4))
     ident = ACTIVATIONS["identity"]
 
-    out = cfa_condition(h, v, zeros_w, ones_b, zeros_w, zeros_b, ident)
+    out = cfa_condition(h, [5], v, zeros_w, ones_b, zeros_w, zeros_b, ident)
     assert (out.data == h.data).all()
 
     # gamma = 0: output is beta at every position, independent of h
     beta_b = Tensor(rng.normal(size=4))
-    out = cfa_condition(h, v, zeros_w, zeros_b, zeros_w, beta_b, ident)
+    out = cfa_condition(h, [5], v, zeros_w, zeros_b, zeros_w, beta_b, ident)
     assert (out.data == np.tile(beta_b.data, (5, 1))).all()
 
 
 def test_cfa_matches_position_loop_oracle():
     rng = rng_for(3, "t")
     h = Tensor(rng.normal(size=(5, 4)))
-    v = Tensor(rng.normal(size=3))
+    v = Tensor(rng.normal(size=(1, 3)))
     gw, gb = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4))
     bw, bb = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4))
-    out = cfa_condition(h, v, gw, gb, bw, bb, ACTIVATIONS["sigmoid"])
+    out = cfa_condition(h, [5], v, gw, gb, bw, bb, ACTIVATIONS["sigmoid"])
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
-    gamma = sig(gw.data @ v.data + gb.data)
-    beta = sig(bw.data @ v.data + bb.data)
+    gamma = sig(gw.data @ v.data[0] + gb.data)
+    beta = sig(bw.data @ v.data[0] + bb.data)
     for j in range(5):
         assert np.abs(out.data[j] - (gamma * h.data[j] + beta)).max() < 1e-12
 
 
 def test_head_concat():
     h = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]))
-    v = Tensor(np.array([7.0, 8.0, 9.0]))
-    out = head_concat(h, v)
-    assert out.data.tolist() == [3.0, 5.0, 7.0, 8.0, 9.0]
-    single = head_concat(Tensor(np.array([[4.0, 6.0]])), v)
-    assert single.data.tolist() == [4.0, 6.0, 7.0, 8.0, 9.0]
+    v = Tensor(np.array([[7.0, 8.0, 9.0]]))
+    out = head_concat(h, [2], v)
+    assert out.data.tolist() == [[3.0, 5.0, 7.0, 8.0, 9.0]]
+    single = head_concat(Tensor(np.array([[4.0, 6.0]])), [1], v)
+    assert single.data.tolist() == [[4.0, 6.0, 7.0, 8.0, 9.0]]
 
 
 def attention_params(rng, F=4, d=3, hidden=6):
@@ -198,9 +201,10 @@ def attention_params(rng, F=4, d=3, hidden=6):
 def test_head_attention_single_position():
     rng = rng_for(4, "t")
     h = Tensor(rng.normal(size=(1, 4)))
-    v = Tensor(rng.normal(size=3))
+    v = Tensor(rng.normal(size=(1, 3)))
     aux = {}
-    out = head_attention(h, v, 0, *attention_params(rng), ACTIVATIONS["tanh"], aux=aux)
+    out = head_attention(h, [1], v, [0], *attention_params(rng), ACTIVATIONS["tanh"],
+                         aux=aux)
     assert aux["alpha"].tolist() == [1.0]
     assert np.abs(out.data - h.data[0]).max() < 1e-15
 
@@ -209,9 +213,10 @@ def test_head_attention_identical_positions_uniform():
     rng = rng_for(5, "t")
     row = rng.normal(size=4)
     h = Tensor(np.tile(row, (6, 1)))
-    v = Tensor(rng.normal(size=3))
+    v = Tensor(rng.normal(size=(1, 3)))
     aux = {}
-    out = head_attention(h, v, 3, *attention_params(rng), ACTIVATIONS["tanh"], aux=aux)
+    out = head_attention(h, [6], v, [3], *attention_params(rng), ACTIVATIONS["tanh"],
+                         aux=aux)
     assert np.abs(aux["alpha"] - 1.0 / 6).max() < 1e-12
     assert np.abs(out.data - row).max() < 1e-12
 
@@ -219,13 +224,13 @@ def test_head_attention_identical_positions_uniform():
 def test_head_attention_matches_oracle():
     rng = rng_for(6, "t")
     h = Tensor(rng.normal(size=(5, 4)))
-    v = Tensor(rng.normal(size=3))
+    v = Tensor(rng.normal(size=(1, 3)))
     uw, ub, cw, cb = attention_params(rng)
     aux = {}
-    out = head_attention(h, v, 2, uw, ub, cw, cb, ACTIVATIONS["tanh"], aux=aux)
+    out = head_attention(h, [5], v, [2], uw, ub, cw, cb, ACTIVATIONS["tanh"], aux=aux)
 
     keys = np.tanh(h.data @ uw.data + ub.data)
-    query = np.tanh(cw.data @ np.concatenate([v.data, h.data[2]]) + cb.data)
+    query = np.tanh(cw.data @ np.concatenate([v.data[0], h.data[2]]) + cb.data)
     scores = keys @ query
     e = np.exp(scores - scores.max())
     alpha = e / e.sum()
@@ -236,9 +241,9 @@ def test_head_attention_matches_oracle():
 
 def test_head_attention_anchor_range():
     h = Tensor(np.zeros((2, 4)))
-    v = Tensor(np.zeros(3))
+    v = Tensor(np.zeros((1, 3)))
     with pytest.raises(ValueError, match="anchor 2"):
-        head_attention(h, v, 2, *attention_params(rng_for(0, "t")), ACTIVATIONS["tanh"])
+        head_attention(h, [2], v, [2], *attention_params(rng_for(0, "t")), ACTIVATIONS["tanh"])
 
 
 # --- full models --------------------------------------------------------------
@@ -280,9 +285,8 @@ def test_concat_pipeline_matches_hand_wired_oracle():
 
     from lfked.encoding import encode, keyword_repr
 
-    enc = encode(ex.tokens, ex.anchor, emb, model.pos)
-    v_k = keyword_repr(ex.keywords, emb)
-    h = enc.h0
+    h = encode(ex.tokens, [len(ex.tokens)], [ex.anchor], emb, model.pos)
+    v_k = keyword_repr([ex.keywords], emb)
     p = model.params
     for i in (1, 2):
         h = ad.concat(
@@ -290,9 +294,9 @@ def test_concat_pipeline_matches_hand_wired_oracle():
              for w in cfg.windows],
             axis=1,
         )
-    r = ad.concat([ad.maxpool_time(h), v_k])
+    r = ad.concat([ad.maxpool_time(h), v_k], axis=1)
     hidden = ad.tanh(ad.affine(p["ffn.hidden.w"], r, p["ffn.hidden.b"]))
-    want = ad.affine(p["ffn.out.w"], hidden, p["ffn.out.b"]).data
+    want = ad.affine(p["ffn.out.w"], hidden, p["ffn.out.b"]).data[0]
     assert (got == want).all()
 
 
@@ -365,15 +369,13 @@ def assert_packed_matches_forward(model, batch):
     assert [model.predict(ex) for ex in batch] == model.predict_batch(batch).tolist()
 
 
-@pytest.mark.parametrize("case", [
-    "concat", "attention", "concat-cfa", "attention-cfa", "layers2-cfa-not-last",
-    "relu-identity", "finetune-words",
-])
-def test_predict_batch_matches_per_example_forward(case):
-    # Window 5 is wider than the 1- and 2-token sentences; one call packs all
-    # lengths together.
+CASES = ["concat", "attention", "concat-cfa", "attention-cfa", "layers2-cfa-not-last",
+         "relu-identity", "finetune-words"]
+
+
+def case_model(case):
+    """The model of one CASES entry, over tiny_emb(), for mixed_batch()."""
     emb = tiny_emb()
-    batch = mixed_batch()
     config = tiny_config(windows=(2, 5), dropout=0.5)
     words = None
     if case == "layers2-cfa-not-last":
@@ -382,13 +384,65 @@ def test_predict_batch_matches_per_example_forward(case):
         config = tiny_config(windows=(5, 2), conv_act="relu", cfa_act="identity")
     elif case == "finetune-words":
         # w11 and k3 are left out of the table: they keep their frozen vectors
-        vocab = [t for ex in batch for t in ex.tokens + list(ex.keywords)]
+        vocab = [t for ex in mixed_batch() for t in ex.tokens + list(ex.keywords)]
         words = WordTable(emb, [t for t in vocab if t not in ("w11", "k3")])
         words.matrix.data += rng_for(1, "ft").normal(scale=0.1, size=words.matrix.shape)
     else:
         config = config.with_variant(case)
-    model = Model(config, emb, words=words)
-    assert_packed_matches_forward(model, batch)
+    return Model(config, emb, words=words)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_predict_batch_matches_per_example_forward(case):
+    # Window 5 is wider than the 1- and 2-token sentences; one call packs all
+    # lengths together.
+    assert_packed_matches_forward(case_model(case), mixed_batch())
+
+
+# Logits and loss gradients recorded from the per-example forward that the
+# packed forward_batch replaced; see its "about" entry.
+REFERENCE = json.loads((Path(__file__).parent / "forward_reference.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_logits_match_the_recorded_per_example_forward(case):
+    model, batch = case_model(case), mixed_batch()
+    ref = np.array(REFERENCE["logits"][case])
+    for got in (np.stack([model.forward(ex).data for ex in batch]), model.logits_batch(batch)):
+        err = np.abs(got - ref).max() / np.abs(ref).max()
+        assert err <= 1e-12, f"relative error {err:.3e}"
+    assert model.predict_batch(batch).tolist() == [int(r[1] > r[0]) for r in ref]
+
+
+def _forward_batch_grads(model, batch, seed=4):
+    """_batch_grads of one tape over forward_batch(batch), row by row."""
+    named = model.named_params()
+    ad.zero_grads(named.values())
+    with Tape() as tape:
+        logits = model.forward_batch(batch, train=True, rng=rng_for(seed, "dropout", 1))
+        total = ad.cross_entropy(ad.take_rows(logits, 0), batch[0].label)
+        for i, ex in enumerate(batch[1:], start=1):
+            total = ad.add(total, ad.cross_entropy(ad.take_rows(logits, i), ex.label))
+        tape.backward(ad.mul(total, Tensor(1.0 / len(batch))))
+    return {k: p.grad.copy() for k, p in named.items()}
+
+
+@pytest.mark.parametrize("tape", ["per-example", "forward_batch"])
+@pytest.mark.parametrize("case", ["attention-cfa", "finetune-words"])
+def test_gradients_match_the_recorded_per_example_forward(case, tape):
+    # Error relative to the largest gradient entry of any parameter: softmax
+    # ignores a shift, so attn.u.b's gradient nearly cancels and a
+    # per-parameter norm would measure rounding noise.
+    model, batch = case_model(case), mixed_batch()
+    if tape == "per-example":
+        grads = _batch_grads(model, batch, tape_size=len(batch))
+    else:
+        grads = _forward_batch_grads(model, batch)
+    ref = {k: np.array(v) for k, v in REFERENCE["grads"][case]["params"].items()}
+    assert grads.keys() == ref.keys()
+    scale = max(np.abs(v).max() for v in ref.values())
+    err = max(np.abs(grads[k].ravel() - ref[k]).max() for k in ref) / scale
+    assert err <= 1e-12, f"relative error {err:.3e}"
 
 
 def test_predict_batch_spans_chunks_and_long_sentences():
