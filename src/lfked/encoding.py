@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Tensor, concat, matmul, take_rows
+from .autodiff import Tensor, concat, take_rows, weighted_row_sum
 from .seeding import rng_for
 
 log = logging.getLogger(__name__)
@@ -198,8 +198,8 @@ def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
 def keyword_repr(keyword_sets, emb: EmbeddingTable,
                  words: WordTable | None = None) -> Tensor:
     """(len(keyword_sets), emb.dim): the average of each set's keyword vectors,
-    as one product of an averaging matrix with the vectors. Each set is read
-    in sorted order, so a row is a pure function of its set."""
+    as one weighted row sum per set. Each set is read in sorted order, so a
+    row is a pure function of its set."""
     sets = []
     for kws in keyword_sets:
         if isinstance(kws, str):
@@ -207,9 +207,7 @@ def keyword_repr(keyword_sets, emb: EmbeddingTable,
         if not kws:
             raise ValueError("keyword set is empty")
         sets.append(sorted(kws))
-    average = np.zeros((len(sets), sum(len(kws) for kws in sets)))
-    start = 0
-    for row, kws in zip(average, sets):
-        row[start:start + len(kws)] = 1.0 / len(kws)
-        start += len(kws)
-    return matmul(Tensor(average), word_rows([k for kws in sets for k in kws], emb, words))
+    lengths = [len(kws) for kws in sets]
+    weights = Tensor(np.repeat(1.0 / np.array(lengths), lengths))
+    return weighted_row_sum(weights, word_rows([k for kws in sets for k in kws], emb, words),
+                            lengths)

@@ -1,5 +1,7 @@
 """Embedding tables, position lookup with clamping, and sentence encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,21 @@ def test_keyword_repr_one_row_per_set():
         assert np.abs(row - keyword_repr([kws], emb).data[0]).max() < 1e-15
     with pytest.raises(TypeError, match="sequence of keyword sets"):
         keyword_repr({"cat", "dog"}, emb)
+
+
+def test_keyword_repr_memory_is_linear_in_the_batch():
+    # 1000 sets of 4 keywords: the keyword rows take under 0.1 MB, while one
+    # (sets, keywords) array would take 32 MB.
+    emb = table()
+    sets = [("cat", "dog", "dog", "cat")] * 1000
+    tracemalloc.start()
+    try:
+        rows = keyword_repr(sets, emb).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert (rows == (emb.lookup("cat") + emb.lookup("dog")) / 2).all()
 
 
 # --- trainable word table ---------------------------------------------------
