@@ -10,17 +10,23 @@ one after another, with `lengths` giving each sentence's row count (None: the
 whole input is one sentence). Per-sentence values, such as a CFA scale or an
 attention query, are (B, .) rows, one per sentence.
 
-Gradients of leaf tensors (those not made by an op, such as parameters) are
-complete only when `Tape.backward` returns. During the reverse replay the
-rules of `affine` and `conv1d_same` queue the factors of their leaf weight's
-gradient instead of adding a full-size product per call; once the replay
-ends, `backward` sums each weight's queue with one matrix product. Op outputs
-and non-leaf weights are updated immediately, so every rule still reads a
-complete gradient for its own output.
+During the reverse replay the rules of `affine` and `conv1d_same` queue the
+factors of their leaf weight's gradient instead of adding a full-size product
+per call; each weight's queue is later summed with one matrix product. Op
+outputs and non-leaf weights are updated immediately, so every rule still
+reads a complete gradient for its own output. A leaf's `.grad` (leaves are
+tensors not made by an op, such as parameters) is therefore complete:
+
+- when `Tape.backward` returns, if no `GradSum` is open; or
+- when the `GradSum` open around several backwards exits. Each backward then
+  adds its queued factors to one map shared by all of them, so a training
+  step can record and replay one example per tape, freeing each example's
+  activations before the next runs, and still sum each weight once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -71,10 +77,10 @@ def _active_tape():
 
 class Tape:
     """Ordered record of operations; replaying the rules in reverse applies
-    the chain rule. One tape per training step, single-threaded; call
-    `backward` at most once per recording. A leaf's `.grad` is complete only
-    when `backward` returns: queued weight gradients are summed after the
-    replay.
+    the chain rule. Single-threaded; call `backward` at most once per
+    recording. A leaf's `.grad` is complete when `backward` returns, or,
+    inside a `GradSum`, when the `GradSum` exits: queued weight gradients are
+    summed after the replay.
 
         with Tape() as tape:
             loss = ...
@@ -108,14 +114,44 @@ class Tape:
         loss.grad.fill(1.0)
         # The queue lives on the thread, not the tape: a rule that reached its
         # tape would make a tape <-> rules cycle only the cyclic GC frees.
-        _ACTIVE.pending = pending = {}
-        try:
+        # Without an open GradSum, the backward sums its own queue.
+        with GradSum() if _pending() is None else contextlib.nullcontext():
             for rule in reversed(self._rules):
                 rule()
+
+
+class GradSum:
+    """Sum leaf-weight gradients once over every `Tape.backward` run while it
+    is open on this thread, instead of once per backward:
+
+        zero_grads(params)
+        with GradSum():
+            for ex in batch:
+                with Tape() as tape:
+                    loss = ...
+                tape.backward(loss)
+        # every .grad is complete here
+
+    Leaving it by an exception sums nothing. It does not nest.
+    """
+
+    def __enter__(self):
+        if _pending() is not None:
+            raise RuntimeError("a GradSum is already open on this thread")
+        _ACTIVE.pending = {}
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        pending, _ACTIVE.pending = _ACTIVE.pending, None
+        if exc_type is None:
             for (sum_into, weight), factors in pending.items():
                 sum_into(weight.grad, factors)
-        finally:
-            _ACTIVE.pending = None
+        return False
+
+
+def _pending():
+    """The open GradSum's queue: {(sum_into, leaf weight): [factors, ...]}."""
+    return getattr(_ACTIVE, "pending", None)
 
 
 def zero_grads(tensors):
@@ -134,9 +170,10 @@ def _out(data, *inputs) -> tuple[Tensor, Tape | None]:
 
 
 def _defer(sum_into, weight: Tensor, factors):
-    """From a rule: queue `factors` of a leaf weight's gradient for `backward`
-    to sum once the replay ends; a non-leaf weight is updated now, since its
-    own rule will read its gradient. `sum_into(grad, [factors, ...])` adds it."""
+    """From a rule: queue `factors` of a leaf weight's gradient, to be summed
+    once the replay (or the open `GradSum`) ends; a non-leaf weight is updated
+    now, since its own rule will read its gradient.
+    `sum_into(grad, [factors, ...])` adds it."""
     if weight.is_leaf:
         _ACTIVE.pending.setdefault((sum_into, weight), []).append(factors)
     else:

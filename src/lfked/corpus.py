@@ -113,8 +113,12 @@ class LFKExample:
     source_subtype: str | None = None
 
     def validate(self):
+        if not self.tokens:
+            raise ValueError("empty token list")
         if not 0 <= self.anchor < len(self.tokens):
             raise ValueError(f"anchor {self.anchor} outside 0..{len(self.tokens) - 1}")
+        if not self.keywords:
+            raise ValueError("empty keyword set")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
@@ -279,9 +283,12 @@ def load_dataset(path) -> list[LFKExample]:
                 label=int(rec["label"]),
                 source_subtype=rec.get("source_subtype"),
             )
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}:{lineno}: bad example record ({e})") from e
-        ex.validate()
+        try:
+            ex.validate()
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
         examples.append(ex)
     return examples
 

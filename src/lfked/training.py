@@ -5,17 +5,26 @@ subsampling, and dropout masks each draw from their own named substream. The
 trained object only needs named_params(), loss(example, train, rng), and
 predict_batch(examples) (one 0/1 label per example, in order, used by the
 dev-set evaluation), so the CNN models and the linear baseline share the loop.
+
+A step over a mini-batch of B examples zeroes the gradients, then, inside one
+`GradSum`, records each example's loss scaled by 1/B on a tape of its own
+and runs that tape's backward at once, so only one example's activations are
+alive at a time; the weight gradients the backwards queue are summed when the
+`GradSum` closes. The step then checks the summed loss and applies Adadelta.
+Each epoch's log line carries the process's peak resident memory so far.
 """
 
 from __future__ import annotations
 
 import json
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, mul, zero_grads
+from .autodiff import GradSum, Tape, Tensor, mul, zero_grads
 from .metrics import EvalReport, evaluate
 from .seeding import rng_for
 
@@ -111,6 +120,7 @@ class EpochLog:
     dev_r: float
     dev_f1: float
     seconds: float
+    peak_rss_mb: float
 
     def as_json(self) -> str:
         return json.dumps(
@@ -121,8 +131,16 @@ class EpochLog:
                 "dev_r": self.dev_r,
                 "dev_f1": self.dev_f1,
                 "seconds": self.seconds,
+                "peak_rss_mb": self.peak_rss_mb,
             }
         )
+
+
+def peak_rss_mb() -> float:
+    """Peak resident memory of this process so far, in MB (ru_maxrss is in
+    KB on Linux and in bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 @dataclass
@@ -158,6 +176,22 @@ def _epoch_examples(examples, config: TrainConfig, epoch: int):
     return [pool[i] for i in order]
 
 
+def batch_gradients(model, params, batch, rng) -> float:
+    """Set each parameter's `.grad` to the gradient of the batch's mean
+    training loss, one example per tape (see the module docstring), and
+    return the sum of the examples' losses, added in batch order."""
+    scale = Tensor(1.0 / len(batch))
+    total = 0.0
+    zero_grads(params)
+    with GradSum():
+        for ex in batch:
+            with Tape() as tape:
+                loss = model.loss(ex, train=True, rng=rng)
+                tape.backward(mul(loss, scale))
+            total += float(loss.data)
+    return total
+
+
 def train(model, train_examples, dev_examples, config: TrainConfig,
           log_path=None, progress=None) -> TrainResult:
     """Train until the epoch budget or patience runs out; the model is left
@@ -188,18 +222,12 @@ def train(model, train_examples, dev_examples, config: TrainConfig,
             loss_sum = 0.0
             for start in range(0, len(examples), config.batch_size):
                 batch = examples[start : start + config.batch_size]
-                zero_grads(named.values())
-                with Tape() as tape:
-                    total = model.loss(batch[0], train=True, rng=dropout_rng)
-                    for ex in batch[1:]:
-                        total = add(total, model.loss(ex, train=True, rng=dropout_rng))
-                    batch_loss = mul(total, Tensor(1.0 / len(batch)))
-                    tape.backward(batch_loss)
-                if not np.isfinite(batch_loss.data):
+                total = batch_gradients(model, named.values(), batch, dropout_rng)
+                if not np.isfinite(total):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                     )
-                loss_sum += float(total.data)
+                loss_sum += total
                 opt.step()
 
             report = evaluate(model, dev_examples)
@@ -210,6 +238,7 @@ def train(model, train_examples, dev_examples, config: TrainConfig,
                 dev_r=report.recall,
                 dev_f1=report.f1,
                 seconds=round(time.perf_counter() - started, 3),
+                peak_rss_mb=peak_rss_mb(),
             )
             result.log.append(entry)
             if log_file:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -211,6 +212,91 @@ def test_non_leaf_weight_gradient(op):
     tape.backward(loss)
     numeric = central_diff(lambda: loss_of(Tensor(raw)).item(), raw)
     assert max_rel_error(tw.grad, numeric) < 1e-6
+
+
+def _weight_loss(seq, filters, weight, bias):
+    """mean(affine(weight, tanh(conv(seq)))): both deferring ops, leaf weights."""
+    h = ad.tanh(ad.conv1d_same(Tensor(seq), filters, Tensor(np.zeros(filters.shape[2]))))
+    return ad.mean(ad.affine(weight, h, Tensor(bias)))
+
+
+def _weight_loss_grads(seqs, filters, weight, bias, grad_sum=None):
+    """One backward of _weight_loss per sequence, each on its own tape, inside
+    grad_sum if one is given. Returns (filters.grad, weight.grad) as read
+    after each backward, and at the end."""
+    tf, tw = Tensor(filters, requires_grad=True), Tensor(weight, requires_grad=True)
+    after_each = []
+    with grad_sum or contextlib.nullcontext():
+        for s in seqs:
+            with Tape() as tape:
+                loss = _weight_loss(s, tf, tw, bias)
+            tape.backward(loss)
+            after_each.append((tf.grad.copy(), tw.grad.copy()))
+    return after_each, (tf.grad, tw.grad)
+
+
+def _grad_sum_case():
+    rng = np.random.default_rng(9)
+    seqs = [rng.uniform(-2, 2, (n, 3)) for n in (4, 1, 6)]
+    return (seqs, rng.uniform(-1, 1, (3, 3, 2)), rng.uniform(-1, 1, (5, 2)),
+            rng.uniform(-1, 1, 5))
+
+
+def test_backward_outside_grad_sum_completes_leaf_grads():
+    # Without a GradSum, each backward sums its own queue before returning.
+    seqs, filters, weight, bias = _grad_sum_case()
+    [(f1, w1), (f2, w2)], _ = _weight_loss_grads([seqs[0]] * 2, filters, weight, bias)
+    loss = lambda: _weight_loss(seqs[0], Tensor(filters), Tensor(weight), bias).item()
+    assert max_rel_error(f1, central_diff(loss, filters)) < 1e-6
+    assert max_rel_error(w1, central_diff(loss, weight)) < 1e-6
+    np.testing.assert_array_equal(f2, 2 * f1)
+    np.testing.assert_array_equal(w2, 2 * w1)
+    assert ad._pending() is None
+
+
+def test_grad_sum_sums_leaf_weights_once_on_exit():
+    seqs, filters, weight, bias = _grad_sum_case()
+    _, (ref_f, ref_w) = _weight_loss_grads(seqs, filters, weight, bias)
+    after_each, (got_f, got_w) = _weight_loss_grads(seqs, filters, weight, bias,
+                                                    grad_sum=ad.GradSum())
+    # queued, not yet added, while the GradSum is open
+    assert all(not f.any() and not w.any() for f, w in after_each)
+    np.testing.assert_allclose(got_f, ref_f, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got_w, ref_w, rtol=0, atol=1e-14)
+    assert ad._pending() is None
+
+
+def test_grad_sum_exception_sums_nothing_and_clears_state():
+    seqs, filters, weight, bias = _grad_sum_case()
+    tf, tw = Tensor(filters, requires_grad=True), Tensor(weight, requires_grad=True)
+    with pytest.raises(KeyError):
+        with ad.GradSum():
+            with Tape() as tape:
+                loss = _weight_loss(seqs[0], tf, tw, bias)
+            tape.backward(loss)
+            raise KeyError("stop")
+    assert not tf.grad.any() and not tw.grad.any()
+    assert ad._pending() is None
+    # the thread is usable again: a plain backward and a new GradSum both sum
+    _, ref = _weight_loss_grads(seqs, filters, weight, bias)
+    _, got = _weight_loss_grads(seqs, filters, weight, bias, grad_sum=ad.GradSum())
+    np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-14)
+
+
+def test_grad_sum_does_not_nest():
+    seqs, filters, weight, bias = _grad_sum_case()
+    _, ref = _weight_loss_grads(seqs, filters, weight, bias)
+    tf, tw = Tensor(filters, requires_grad=True), Tensor(weight, requires_grad=True)
+    with ad.GradSum():
+        with pytest.raises(RuntimeError, match="already open"):
+            ad.GradSum().__enter__()
+        for s in seqs:
+            with Tape() as tape:
+                loss = _weight_loss(s, tf, tw, bias)
+            tape.backward(loss)
+    # the refused inner one left the outer's queue in place
+    np.testing.assert_allclose(tf.grad, ref[0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(tw.grad, ref[1], rtol=0, atol=1e-14)
 
 
 def test_op_outputs_are_not_leaves():

@@ -208,7 +208,7 @@ def test_train_outputs(run_dir):
     with open(run_dir / "train_log.jsonl", encoding="utf-8") as f:
         entries = [json.loads(line) for line in f]
     assert len(entries) == 2
-    keys = {"epoch", "train_loss", "dev_p", "dev_r", "dev_f1", "seconds"}
+    keys = {"epoch", "train_loss", "dev_p", "dev_r", "dev_f1", "seconds", "peak_rss_mb"}
     assert all(set(e) == keys for e in entries)
     assert [e["epoch"] for e in entries] == [1, 2]
 
@@ -231,7 +231,7 @@ def test_train_rerun_reproduces_checkpoint(synth_dir, data_dir, run_dir, tmp_pat
     assert rc == 0
     assert (again / "model.ckpt").read_bytes() == (run_dir / "model.ckpt").read_bytes()
     strip = lambda p: [
-        {k: v for k, v in json.loads(line).items() if k != "seconds"}
+        {k: v for k, v in json.loads(line).items() if k not in ("seconds", "peak_rss_mb")}
         for line in open(p, encoding="utf-8")
     ]
     assert strip(again / "train_log.jsonl") == strip(run_dir / "train_log.jsonl")
@@ -422,6 +422,22 @@ def test_eval_finetune_words_scores_unseen_tokens(synth_dir, data_dir, tmp_path,
     data = load_dataset(unseen)
     ref = np.stack([model.forward(ex).data for ex in data])
     assert np.abs(model.logits_batch(data) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"tokens": [], "anchor": 0}, "empty token list"),
+    ({"keywords": []}, "empty keyword set"),
+    ({"anchor": 99}, "anchor 99 outside 0..2"),
+    ({"label": 2}, "label must be 0 or 1, got 2"),
+])
+def test_eval_rejects_a_bad_dataset_record_with_its_location(
+        run_dir, tmp_path, capsys, overrides, message):
+    good = {"tokens": ["a", "b", "c"], "anchor": 1, "keywords": ["k"], "label": 1}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(good) + "\n" + json.dumps(good | overrides) + "\n")
+    rc = run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", bad)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
 
 
 def test_eval_missing_checkpoint(data_dir, tmp_path):

@@ -71,6 +71,10 @@ def test_typemap_subtypes_of():
 def test_example_validation():
     with pytest.raises(ValueError, match="anchor"):
         LFKExample(["a"], 1, ("k",), 1).validate()
+    with pytest.raises(ValueError, match="empty token list"):
+        LFKExample([], 0, ("k",), 1).validate()
+    with pytest.raises(ValueError, match="empty keyword set"):
+        LFKExample(["a"], 0, (), 1).validate()
     with pytest.raises(ValueError, match="label"):
         LFKExample(["a"], 0, ("k",), 2).validate()
 
@@ -245,3 +249,31 @@ def test_load_dataset_validates_examples(tmp_path):
     p.write_text('{"tokens": ["a"], "anchor": 5, "keywords": ["k"], "label": 1}\n')
     with pytest.raises(ValueError, match="anchor 5"):
         load_dataset(p)
+
+
+GOOD_RECORD = {"tokens": ["a", "b", "c"], "anchor": 1, "keywords": ["k"], "label": 1}
+
+# (field overrides, message after "path:line: ")
+BAD_RECORDS = [
+    ({"tokens": [], "anchor": 0}, "empty token list"),
+    ({"keywords": []}, "empty keyword set"),
+    ({"anchor": 3}, "anchor 3 outside 0..2"),
+    ({"anchor": -1}, "anchor -1 outside 0..2"),
+    ({"label": 2}, "label must be 0 or 1, got 2"),
+    ({"anchor": "x"}, "bad example record (invalid literal for int() with base 10: 'x')"),
+]
+
+
+def write_bad_dataset(path, overrides):
+    """A dataset whose line 2 is GOOD_RECORD with `overrides` applied."""
+    lines = [GOOD_RECORD, GOOD_RECORD | overrides]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    return path
+
+
+@pytest.mark.parametrize("overrides, message", BAD_RECORDS)
+def test_load_dataset_names_the_bad_record(tmp_path, overrides, message):
+    p = write_bad_dataset(tmp_path / "data.jsonl", overrides)
+    with pytest.raises(ValueError) as err:
+        load_dataset(p)
+    assert str(err.value) == f"{p}:2: {message}"

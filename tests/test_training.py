@@ -3,21 +3,24 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from lfked import training
-from lfked.autodiff import Tape, Tensor
+from lfked.autodiff import Tape, Tensor, add, mul, zero_grads
+from lfked.baseline import LinearBaseline
 from lfked.corpus import LFKExample
-from lfked.encoding import EmbeddingTable
+from lfked.encoding import EmbeddingTable, WordTable
 from lfked.models import Model, ModelConfig
 from lfked.seeding import rng_for
 from lfked.training import (
     Adadelta,
     NumericError,
     TrainConfig,
+    batch_gradients,
     restore_params,
     snapshot_params,
     train,
@@ -242,12 +245,14 @@ def test_same_seed_reproduces_training_log(tmp_path):
     params_b, log_b = run("b.jsonl")
     assert (params_a == params_b).all()
 
-    # logs identical apart from wall-clock seconds
+    # logs identical apart from wall-clock seconds and the process's peak memory
     def strip(text):
         rows = [json.loads(line) for line in text.splitlines()]
         for r in rows:
-            assert set(r) == {"epoch", "train_loss", "dev_p", "dev_r", "dev_f1", "seconds"}
+            assert set(r) == {"epoch", "train_loss", "dev_p", "dev_r", "dev_f1", "seconds",
+                              "peak_rss_mb"}
             r.pop("seconds")
+            assert r.pop("peak_rss_mb") > 0
         return rows
 
     assert strip(log_a) == strip(log_b)
@@ -316,8 +321,9 @@ def test_real_model_trains_one_epoch():
 
 
 def test_step_tape_is_freed_by_reference_counting(monkeypatch):
-    # A tape <-> rule reference cycle would keep every step's tape and its
-    # activations alive until the cyclic GC runs.
+    # A step records one tape per example. A tape <-> rule reference cycle
+    # would keep every example's tape and its activations alive until the
+    # cyclic GC runs.
     refs, live_at_start = [], []
 
     class TrackedTape(Tape):
@@ -341,8 +347,84 @@ def test_step_tape_is_freed_by_reference_counting(monkeypatch):
     gc.disable()
     try:
         train(model, data, data, TrainConfig(batch_size=4, epochs=1, seed=5))
-        assert len(refs) == 3
-        assert max(live_at_start) <= 1   # only the previous step's, still bound
+        assert len(refs) == 12
+        assert max(live_at_start) <= 1   # only the previous example's, still bound
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+# --- the streamed step --------------------------------------------------------
+
+
+def one_tape_gradients(model, batch, rng):
+    """The reference step: every example's loss recorded on one tape as one
+    add chain, scaled by 1/B, and one backward. Returns the chain's loss
+    total and each parameter's gradient."""
+    named = model.named_params()
+    zero_grads(named.values())
+    with Tape() as tape:
+        total = model.loss(batch[0], train=True, rng=rng)
+        for ex in batch[1:]:
+            total = add(total, model.loss(ex, train=True, rng=rng))
+        tape.backward(mul(total, Tensor(1.0 / len(batch))))
+    return float(total.data), {k: t.grad.copy() for k, t in named.items()}
+
+
+def step_case(case, n=9, length=None, **config):
+    """A model of one variant and a batch of n examples with sentences of
+    1-12 tokens (or all of `length` tokens); `config` overrides model sizes."""
+    sizes = dict(windows=(2, 3, 5), filters=4, word_dim=8, pos_dim=4, attn_hidden=6,
+                 ffn_hidden=8) | config
+    word_dim = sizes["word_dim"]
+    rng = rng_for(0, "emb")
+    vocab = [f"w{i}" for i in range(12)] + [f"k{i}" for i in range(4)]
+    emb = EmbeddingTable({t: rng.normal(size=word_dim) for t in vocab}, word_dim)
+    batch = []
+    for i in range(n):
+        size = length or 1 + (i * 5) % 12
+        batch.append(LFKExample([f"w{(i + j) % 12}" for j in range(size)], (i * 7) % size,
+                                tuple(f"k{j}" for j in range(1 + i % 4)), i % 2))
+    if case == "baseline":
+        return LinearBaseline(emb), batch
+    cfg = ModelConfig(head="attention", cfa=True, layers=1, dropout=0.5, max_offset=12,
+                      seed=2, **sizes)
+    words = None
+    if case == "finetune-words":
+        words = WordTable(emb, vocab)
+    elif case != "attention-cfa":
+        cfg = cfg.with_variant(case)
+    return Model(cfg, emb, words=words), batch
+
+
+@pytest.mark.parametrize("case", ["attention-cfa", "concat", "finetune-words", "baseline"])
+def test_streamed_step_matches_one_tape_step(case):
+    model, batch = step_case(case)
+    want_loss, want = one_tape_gradients(model, batch, rng_for(4, "dropout", 1))
+    named = model.named_params()
+    got_loss = batch_gradients(model, named.values(), batch, rng_for(4, "dropout", 1))
+    assert got_loss == want_loss
+    largest = max(np.abs(g).max() for g in want.values())
+    assert largest > 0
+    for name, t in named.items():
+        assert np.abs(t.grad - want[name]).max() <= 1e-12 * largest, name
+
+
+def test_streamed_step_peaks_at_most_half_the_one_tape_step():
+    # One epoch of one 50-example step on 40-token sentences through train(),
+    # with a two-example dev set, against the same step recorded on one tape.
+    # The model keeps the default's proportions at a sixth of its widths.
+    model, batch = step_case("attention-cfa", n=50, length=40, windows=(2, 3, 4, 5),
+                             filters=16, word_dim=50, pos_dim=8, attn_hidden=32,
+                             ffn_hidden=50)
+    peaks = []
+    for run in (lambda: one_tape_gradients(model, batch, rng_for(0, "dropout", 1)),
+                lambda: train(model, batch, batch[:2], TrainConfig(batch_size=50, epochs=1))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_tape, streamed = peaks
+    assert streamed <= 0.5 * one_tape, (one_tape, streamed)
