@@ -1,7 +1,12 @@
 """Command-line entry point: synth -> gen-data -> train -> eval, plus gradcheck.
 
-Every subcommand accepts --config pointing at a JSON file whose keys are the
-flag names (underscored); explicit flags override the file. All randomness
+Each setting is one flag with its own type, help text and default. synth,
+gen-data, train and gradcheck accept --config, a JSON object whose keys are
+the optional flags, underscored, plus train's file-only cfa_last and
+oov_policy; eval takes none. A value is checked as the flag's would be (an
+int flag takes an integer, a float flag a number, an on/off flag a bool,
+windows a string or a list; null only where the default is null) and becomes
+the flag's default, so a flag on the command line wins. All randomness
 derives from --seed through named substreams, and each run that produces
 files writes a manifest.json next to them recording resolved config, seed,
 and input digests.
@@ -38,7 +43,7 @@ from .corpus import (
     sha256_file,
 )
 from .datagen import SynthSpec, generate_lfk, synth_corpus
-from .encoding import EmbeddingTable, WordTable, load_embeddings, write_embeddings
+from .encoding import OOV_POLICIES, WordTable, load_embeddings, write_embeddings
 from .gradcheck import DEFAULT_TOL, check_all
 from .metrics import evaluate, report_json, report_text
 from .models import VARIANTS, Model, ModelConfig
@@ -47,40 +52,77 @@ from .training import NumericError, TrainConfig, train
 BASELINE = "word2vec-baseline"
 MODEL_CHOICES = sorted(VARIANTS) + [BASELINE]
 
+# Default of a setting that must come from a flag or the config file: argparse
+# then leaves it out of the namespace.
+NEEDED = argparse.SUPPRESS
+
 
 # ---------------------------------------------------------------------------
-# config-file merging
+# config files
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
+class Subcommand(argparse.ArgumentParser):
+    """Parser of one subcommand. Its optional flags, bar --help and --config,
+    are its config-file keys; file_only() adds a key that has no flag."""
+
+    def __init__(self, **kwargs):
+        self.keys: dict[str, argparse.Action] = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if not action.required and action.dest not in ("help", "config"):
+            self.keys[action.dest] = action
+        return action
+
+    def file_only(self, dest, default, **kwargs):
+        self.keys[dest] = argparse.Action([], dest, default=default, **kwargs)
+        self.set_defaults(**{dest: default})
+
+    def read_config(self, path):
+        """Check a config file's values and make them this parser's defaults."""
+        with open(path, encoding="utf-8") as f:
+            cfg = json.load(f)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        unknown = set(cfg) - set(self.keys)
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for key, value in cfg.items():
+            _check_value(f"{path}: {key}", self.keys[key], value)
+        self.set_defaults(**cfg)
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag value if given, else config-file value, else default."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    unknown = set(file_cfg) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
-        out[key] = cli_val if cli_val is not None else file_cfg.get(key, default)
-    return out
+def _check_value(where: str, action: argparse.Action, value):
+    """Reject a config-file value that the flag's type or choices would not give."""
+    if value is None:
+        if action.default is not None:
+            raise ValueError(f"{where}: null is not allowed")
+        return
+    if action.nargs == 0:
+        want, ok = "true or false", isinstance(value, bool)
+    elif action.type in (int, float):
+        want = "an integer" if action.type is int else "a number"
+        ok = type(value) in (int, action.type)
+    elif action.dest == "windows" and isinstance(value, list):
+        want, ok = "a list of integers", all(type(w) is int for w in value)
+    else:
+        want, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ValueError(f"{where}: want {want}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{where}: must be one of {list(action.choices)}, got {value!r}")
 
 
-def _write_manifest(out_dir: Path, subcommand: str, resolved: dict, seed,
-                    inputs: dict[str, str]):
+def _write_manifest(out_dir: Path, args, inputs: dict[str, str], /, *leave_out, **extra):
+    """Record the run's resolved settings (bar leave_out, plus extra), its seed
+    and the digests of its inputs."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("subcommand", "config", "func", "parser", *leave_out)}
     manifest = {
-        "subcommand": subcommand,
-        "config": {k: v for k, v in sorted(resolved.items())},
-        "seed": seed,
+        "subcommand": args.subcommand,
+        "config": {**config, **extra},
+        "seed": args.seed,
         "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
         "tool_version": __version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -90,26 +132,13 @@ def _write_manifest(out_dir: Path, subcommand: str, resolved: dict, seed,
         f.write("\n")
 
 
-def _embedding_dim(path) -> int:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.split()
-            if parts:
-                return len(parts) - 1
-    raise ValueError(f"{path}: embedding file is empty")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_synth(args) -> int:
-    defaults = {f: getattr(SynthSpec(), f) for f in SynthSpec.__dataclass_fields__}
-    defaults["seed"] = 0
-    resolved = _resolve(args, defaults)
-    seed = resolved.pop("seed")
-    spec = SynthSpec(**resolved)
-    train_c, dev_c, test_c, lexicon, type_map, embeddings = synth_corpus(spec, seed)
+    spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)})
+    train_c, dev_c, test_c, lexicon, type_map, embeddings = synth_corpus(spec, args.seed)
 
     out = ensure_dir(args.out_dir)
     save_corpus(train_c, out / "corpus_train.jsonl")
@@ -118,47 +147,33 @@ def cmd_synth(args) -> int:
     save_lexicon(lexicon, out / "lexicon.json")
     save_typemap(type_map, out / "typemap.json")
     write_embeddings(embeddings, out / "embeddings.txt")
-    _write_manifest(out, "synth", {**resolved, "out_dir": str(out)}, seed, {})
+    _write_manifest(out, args, {}, "seed", out_dir=str(out))
     print(f"wrote synthetic corpus ({len(list(train_c.sentences()))} train sentences) to {out}")
     return 0
 
 
 def cmd_gen_data(args) -> int:
-    defaults = {
-        "corpus_train": None, "corpus_dev": None, "corpus_test": None,
-        "typemap": None, "lexicon": None, "target_type": None,
-        "seed": 0, "debug_provenance": False,
-    }
-    resolved = _resolve(args, defaults)
-    for key in ("corpus_train", "corpus_dev", "corpus_test", "typemap", "lexicon",
-                "target_type"):
-        if resolved[key] is None:
-            raise ValueError(f"--{key.replace('_', '-')} is required")
-
-    corpora = tuple(load_corpus(resolved[k])
-                    for k in ("corpus_train", "corpus_dev", "corpus_test"))
-    type_map = load_typemap(resolved["typemap"])
-    lexicon = load_lexicon(resolved["lexicon"])
-    target = resolved["target_type"]
-    seed = resolved["seed"]
+    corpora = (load_corpus(args.corpus_train), load_corpus(args.corpus_dev),
+               load_corpus(args.corpus_test))
+    type_map = load_typemap(args.typemap)
+    lexicon = load_lexicon(args.lexicon)
+    target = args.target_type
 
     held = holdout_split(*corpora, target, type_map)
     out = ensure_dir(args.out_dir)
     stats = {}
     for split, corpus in zip(("train", "dev", "test"), held):
-        examples = generate_lfk(corpus, lexicon, type_map, target, split, seed)
-        save_dataset(examples, out / f"{split}.jsonl",
-                     debug=resolved["debug_provenance"])
+        examples = generate_lfk(corpus, lexicon, type_map, target, split, args.seed)
+        save_dataset(examples, out / f"{split}.jsonl", debug=args.debug_provenance)
         rep = dataset_stats(examples)
         stats[split] = {"positives": rep.positives, "negatives": rep.negatives}
     with open(out / "stats.json", "w", encoding="utf-8") as f:
         json.dump({"target_type": target, "splits": stats}, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    inputs = {k: resolved[k] for k in
+    inputs = {k: getattr(args, k) for k in
               ("corpus_train", "corpus_dev", "corpus_test", "typemap", "lexicon")}
-    _write_manifest(out, "gen-data",
-                    {**resolved, "out_dir": str(out)}, seed, inputs)
+    _write_manifest(out, args, inputs, out_dir=str(out))
     print(f"{'split':<6} {'+1':>8} {'-1':>8}")
     for split in ("train", "dev", "test"):
         print(f"{split:<6} {stats[split]['positives']:>8} {stats[split]['negatives']:>8}")
@@ -172,112 +187,65 @@ def cmd_gen_data(args) -> int:
 MODEL_FIELDS = [f.name for f in fields(ModelConfig) if f.name not in ("head", "cfa", "seed")]
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name not in ("rho", "eps")]
 
-TRAIN_DEFAULTS = {
-    "model": None,
-    **{f.name: f.default for f in fields(ModelConfig) if f.name in MODEL_FIELDS},
-    **{f.name: f.default for f in fields(TrainConfig) if f.name in TRAIN_FIELDS},
-    "windows": ",".join(str(w) for w in ModelConfig.windows),
-    "word_dim": None,       # inferred from the embedding file when unset
-    "finetune_words": False,
-    "sweep_layers": False,
-    "oov_policy": "random-fixed",
-}
-
 
 def _parse_windows(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(w) for w in text)
+    if isinstance(text, list):
+        return tuple(text)
     try:
-        return tuple(int(w) for w in str(text).split(",") if w.strip())
+        return tuple(int(w) for w in text.split(",") if w.strip())
     except ValueError as e:
         raise ValueError(f"bad --windows value {text!r}: {e}") from e
 
 
-def _dataset_vocab(datasets) -> set[str]:
-    vocab: set[str] = set()
-    for examples in datasets:
-        for ex in examples:
-            vocab.update(ex.tokens)
-            vocab.update(ex.keywords)
-    return vocab
-
-
 def cmd_train(args) -> int:
-    resolved = _resolve(args, TRAIN_DEFAULTS)
-    if resolved["model"] is None:
-        raise ValueError("--model is required")
-    if resolved["model"] not in MODEL_CHOICES:
-        raise ValueError(f"--model must be one of {MODEL_CHOICES}")
-    if args.embeddings is None:
-        raise ValueError("--embeddings is required")
     data_dir = Path(args.data_dir)
     train_set = load_dataset(data_dir / "train.jsonl")
     dev_set = load_dataset(data_dir / "dev.jsonl")
-
-    seed = resolved["seed"]
-    word_dim = resolved["word_dim"] or _embedding_dim(args.embeddings)
-    emb = load_embeddings(args.embeddings, word_dim,
-                          oov_policy=resolved["oov_policy"], seed=seed)
-    train_cfg = TrainConfig(**{k: resolved[k] for k in TRAIN_FIELDS})
+    emb = load_embeddings(args.embeddings, args.word_dim,
+                          oov_policy=args.oov_policy, seed=args.seed)
+    train_cfg = TrainConfig(**{k: getattr(args, k) for k in TRAIN_FIELDS})
     train_cfg.validate()
     out = ensure_dir(args.out)
 
-    if resolved["model"] == BASELINE:
-        model = LinearBaseline(emb)
-        result = train(model, train_set, dev_set, train_cfg,
-                       log_path=out / "train_log.jsonl", progress=_print_epoch)
-        save_checkpoint(model, out / "model.ckpt", emb_path=args.embeddings)
-        best = {"best_epoch": result.best_epoch, "best_dev_f1": result.best_f1}
-    else:
-        def model_config(layers: int) -> ModelConfig:
-            given = {k: resolved[k] for k in MODEL_FIELDS}
-            given.update(layers=layers, windows=_parse_windows(resolved["windows"]),
-                         word_dim=word_dim)
-            return ModelConfig(**given, seed=seed).with_variant(resolved["model"])
-
-        def build_and_train(layers: int, log_name: str):
-            config = model_config(layers)
-            config.validate()
-            words = None
-            if resolved["finetune_words"]:
-                words = WordTable(emb, _dataset_vocab((train_set, dev_set)))
-            model = Model(config, emb, words=words)
-            result = train(model, train_set, dev_set, train_cfg,
-                           log_path=out / log_name, progress=_print_epoch)
-            return model, result
-
-        if resolved["sweep_layers"]:
-            sweep = {}
-            best_model, best_result, best_m = None, None, None
-            for m in (1, 2, 3, 4):
-                print(f"== layers={m}")
-                model, result = build_and_train(m, f"train_log_m{m}.jsonl")
-                save_checkpoint(model, out / f"model_m{m}.ckpt",
-                                emb_path=args.embeddings)
-                sweep[str(m)] = result.best_f1
-                if best_result is None or result.best_f1 > best_result.best_f1:
-                    best_model, best_result, best_m = model, result, m
-            shutil.copyfile(out / f"model_m{best_m}.ckpt", out / "model.ckpt")
-            with open(out / "sweep.json", "w", encoding="utf-8") as f:
-                json.dump({"dev_f1_by_layers": sweep, "best_layers": best_m},
-                          f, indent=2, sort_keys=True)
-                f.write("\n")
-            print(f"best layers: {best_m} (dev F1 {best_result.best_f1:.3f})")
-            best = {"best_epoch": best_result.best_epoch,
-                    "best_dev_f1": best_result.best_f1, "best_layers": best_m}
+    # The baseline has no layers, so it ignores --sweep-layers.
+    baseline = args.model == BASELINE
+    sweep = args.sweep_layers and not baseline
+    results = {}
+    for m in (1, 2, 3, 4) if sweep else (args.layers,):
+        tag = f"_m{m}" if sweep else ""
+        if sweep:
+            print(f"== layers={m}")
+        if baseline:
+            model = LinearBaseline(emb)
         else:
-            model, result = build_and_train(resolved["layers"], "train_log.jsonl")
-            save_checkpoint(model, out / "model.ckpt", emb_path=args.embeddings)
-            best = {"best_epoch": result.best_epoch, "best_dev_f1": result.best_f1}
+            given = {k: getattr(args, k) for k in MODEL_FIELDS}
+            given.update(layers=m, windows=_parse_windows(args.windows), word_dim=emb.dim)
+            config = ModelConfig(**given, seed=args.seed).with_variant(args.model)
+            config.validate()
+            words = (WordTable(emb, {t for ex in (*train_set, *dev_set)
+                                     for t in (*ex.tokens, *ex.keywords)})
+                     if args.finetune_words else None)
+            model = Model(config, emb, words=words)
+        results[m] = train(model, train_set, dev_set, train_cfg,
+                           log_path=out / f"train_log{tag}.jsonl", progress=_print_epoch)
+        save_checkpoint(model, out / f"model{tag}.ckpt", emb_path=args.embeddings)
 
-    inputs = {
-        "train": str(data_dir / "train.jsonl"),
-        "dev": str(data_dir / "dev.jsonl"),
-        "embeddings": str(args.embeddings),
-    }
-    _write_manifest(out, "train",
-                    {**resolved, "data_dir": str(data_dir), "out": str(out), **best},
-                    seed, inputs)
+    best_m = max(results, key=lambda m: results[m].best_f1)     # ties: fewest layers
+    best = {"best_epoch": results[best_m].best_epoch,
+            "best_dev_f1": results[best_m].best_f1}
+    if sweep:
+        shutil.copyfile(out / f"model_m{best_m}.ckpt", out / "model.ckpt")
+        with open(out / "sweep.json", "w", encoding="utf-8") as f:
+            json.dump({"dev_f1_by_layers": {str(m): r.best_f1 for m, r in results.items()},
+                       "best_layers": best_m}, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"best layers: {best_m} (dev F1 {best['best_dev_f1']:.3f})")
+        best["best_layers"] = best_m
+
+    inputs = {"train": str(data_dir / "train.jsonl"), "dev": str(data_dir / "dev.jsonl"),
+              "embeddings": str(args.embeddings)}
+    _write_manifest(out, args, inputs, "embeddings",
+                    data_dir=str(data_dir), out=str(out), **best)
     print(f"best dev F1 {best['best_dev_f1']:.3f} at epoch {best['best_epoch']}; "
           f"checkpoint in {out}")
     return 0
@@ -305,9 +273,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    defaults = {"seed": 11, "tol": DEFAULT_TOL}
-    resolved = _resolve(args, defaults)
-    results = check_all(seed=resolved["seed"], tol=resolved["tol"])
+    results = check_all(seed=args.seed, tol=args.tol)
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -328,66 +294,76 @@ def build_parser() -> argparse.ArgumentParser:
                     "training, and evaluation.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=Subcommand)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus triple")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    p = command("synth", cmd_synth, "generate a synthetic corpus triple")
     p.add_argument("--config", help="JSON file of synth-spec fields")
-    p.add_argument("--seed", type=int, help="corpus generation seed")
+    p.add_argument("--seed", type=int, default=0, help="corpus generation seed")
     p.add_argument("--out-dir", required=True, help="output directory")
-    for name, fdef in SynthSpec.__dataclass_fields__.items():
-        flag = "--" + name.replace("_", "-")
-        typ = float if fdef.type == "float" else int
-        p.add_argument(flag, type=typ, help=f"synth spec: {name}")
-    p.set_defaults(func=cmd_synth)
+    for f in fields(SynthSpec):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float if f.type == "float" else int,
+                       default=f.default, help=f"synth spec: {f.name}")
 
-    p = sub.add_parser("gen-data", help="holdout split + binary example generation")
+    p = command("gen-data", cmd_gen_data, "holdout split + binary example generation")
     p.add_argument("--config", help="JSON config file; flags override")
-    p.add_argument("--corpus-train", help="training corpus JSONL")
-    p.add_argument("--corpus-dev", help="dev corpus JSONL")
-    p.add_argument("--corpus-test", help="test corpus JSONL")
-    p.add_argument("--typemap", help="type map JSON")
-    p.add_argument("--lexicon", help="trigger lexicon JSON")
-    p.add_argument("--target-type", help="event type to hold out")
-    p.add_argument("--seed", type=int, help="generation seed")
-    p.add_argument("--debug-provenance", action="store_const", const=True,
+    p.add_argument("--corpus-train", default=NEEDED, help="training corpus JSONL")
+    p.add_argument("--corpus-dev", default=NEEDED, help="dev corpus JSONL")
+    p.add_argument("--corpus-test", default=NEEDED, help="test corpus JSONL")
+    p.add_argument("--typemap", default=NEEDED, help="type map JSON")
+    p.add_argument("--lexicon", default=NEEDED, help="trigger lexicon JSON")
+    p.add_argument("--target-type", default=NEEDED, help="event type to hold out")
+    p.add_argument("--seed", type=int, default=0, help="generation seed")
+    p.add_argument("--debug-provenance", action="store_true",
                    help="record each example's source subtype")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model variant or the baseline")
+    p = command("train", cmd_train, "train a model variant or the baseline")
     p.add_argument("--config", help="JSON config file; flags override")
     p.add_argument("--data-dir", required=True,
                    help="directory holding train.jsonl and dev.jsonl")
-    p.add_argument("--model", choices=MODEL_CHOICES, help="model variant")
-    p.add_argument("--embeddings", help="word embedding text file")
+    p.add_argument("--model", choices=MODEL_CHOICES, default=NEEDED, help="model variant")
+    p.add_argument("--embeddings", default=NEEDED, help="word embedding text file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--layers", type=int, help="number of CNN layers (1..4)")
-    p.add_argument("--windows", help="comma-separated window sizes, e.g. 2,3,4,5")
-    p.add_argument("--filters", type=int, help="filters per window size")
-    p.add_argument("--dropout", type=float, help="dropout rate on R")
-    p.add_argument("--lr", type=float, help="Adadelta learning-rate scale")
-    p.add_argument("--seed", type=int, help="run seed")
-    p.add_argument("--epochs", type=int, help="max training epochs")
-    p.add_argument("--batch-size", type=int, help="mini-batch size")
-    p.add_argument("--patience", type=int, help="early-stopping patience")
-    p.add_argument("--neg-keep", type=float,
-                   help="fraction of negatives kept per epoch")
+
+    def setting(flag, typ, help):     # defaults to the ModelConfig or TrainConfig field
+        name = flag[2:].replace("-", "_")
+        owner = ModelConfig if name in MODEL_FIELDS else TrainConfig
+        p.add_argument(flag, type=typ, default=getattr(owner, name), help=help)
+
+    setting("--layers", int, "number of CNN layers (1..4)")
+    p.add_argument("--windows", default=",".join(map(str, ModelConfig.windows)),
+                   help="comma-separated window sizes, e.g. 2,3,4,5")
+    setting("--filters", int, "filters per window size")
+    setting("--dropout", float, "dropout rate on R")
+    setting("--lr", float, "Adadelta learning-rate scale")
+    setting("--seed", int, "run seed")
+    setting("--epochs", int, "max training epochs")
+    setting("--batch-size", int, "mini-batch size")
+    setting("--patience", int, "early-stopping patience")
+    setting("--neg-keep", float, "fraction of negatives kept per epoch")
     p.add_argument("--word-dim", type=int,
                    help="word vector dim (default: inferred from file)")
-    p.add_argument("--pos-dim", type=int, help="position embedding dim")
-    p.add_argument("--max-offset", type=int, help="position clamp range")
-    p.add_argument("--attn-hidden", type=int, help="attention projection width")
-    p.add_argument("--ffn-hidden", type=int, help="classifier hidden width")
-    p.add_argument("--conv-act", help="conv/FFN nonlinearity")
-    p.add_argument("--attn-act", help="attention nonlinearity")
-    p.add_argument("--cfa-act", help="CFA gamma/beta nonlinearity")
-    p.add_argument("--finetune-words", action="store_const", const=True,
+    setting("--pos-dim", int, "position embedding dim")
+    setting("--max-offset", int, "position clamp range")
+    setting("--attn-hidden", int, "attention projection width")
+    setting("--ffn-hidden", int, "classifier hidden width")
+    setting("--conv-act", None, "conv/FFN nonlinearity")
+    setting("--attn-act", None, "attention nonlinearity")
+    setting("--cfa-act", None, "CFA gamma/beta nonlinearity")
+    p.add_argument("--finetune-words", action="store_true",
                    help="also train word vectors (default: frozen)")
-    p.add_argument("--sweep-layers", action="store_const", const=True,
+    p.add_argument("--sweep-layers", action="store_true",
                    help="train at layers 1..4 and keep the dev-best")
-    p.set_defaults(func=cmd_train)
+    p.file_only("cfa_last", ModelConfig.cfa_last, nargs=0)
+    p.file_only("oov_policy", "random-fixed", choices=OOV_POLICIES)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    p = command("eval", cmd_eval, "evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True, help="checkpoint file")
     p.add_argument("--data", required=True, help="dataset JSONL")
     p.add_argument("--embeddings",
@@ -395,21 +371,27 @@ def build_parser() -> argparse.ArgumentParser:
                         "read with the checkpoint's OOV policy and seed")
     p.add_argument("--json", action="store_true", help="print JSON instead of text")
     p.add_argument("--out", help="also write the JSON report here")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck",
-                       help="finite-difference check of all model variants")
+    p = command("gradcheck", cmd_gradcheck,
+                "finite-difference check of all model variants")
     p.add_argument("--config", help="JSON config file; flags override")
-    p.add_argument("--seed", type=int, help="check seed")
-    p.add_argument("--tol", type=float, help="max relative error allowed")
-    p.set_defaults(func=cmd_gradcheck)
+    p.add_argument("--seed", type=int, default=11, help="check seed")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="max relative error allowed")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            args.parser.read_config(args.config)
+            args = parser.parse_args(argv)
+        missing = [key for key in args.parser.keys if not hasattr(args, key)]
+        if missing:
+            raise ValueError(f"--{missing[0].replace('_', '-')} is required")
         return args.func(args)
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -72,8 +72,9 @@ class EmbeddingTable:
         return np.stack([self.lookup(t) for t in tokens])
 
 
-def load_embeddings(path, dim: int, oov_policy: str = "random-fixed",
+def load_embeddings(path, dim: int | None = None, oov_policy: str = "random-fixed",
                     seed: int = 0) -> EmbeddingTable:
+    """Read an embedding file; with dim None, its first non-blank line sets it."""
     vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -81,6 +82,8 @@ def load_embeddings(path, dim: int, oov_policy: str = "random-fixed",
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
             if len(values) != dim:
                 raise ValueError(
                     f"{path}:{lineno}: {len(values)} values for {token!r}, want {dim}"
@@ -93,6 +96,8 @@ def load_embeddings(path, dim: int, oov_policy: str = "random-fixed",
                 log.warning("%s:%d: duplicate token %r, keeping the later entry",
                             path, lineno, token)
             vectors[token] = vec
+    if dim is None:
+        raise ValueError(f"{path}: embedding file is empty")
     return EmbeddingTable(vectors, dim, oov_policy=oov_policy, seed=seed)
 
 

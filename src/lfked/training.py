@@ -20,7 +20,7 @@ import json
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -123,17 +123,7 @@ class EpochLog:
     peak_rss_mb: float
 
     def as_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "train_loss": self.train_loss,
-                "dev_p": self.dev_p,
-                "dev_r": self.dev_r,
-                "dev_f1": self.dev_f1,
-                "seconds": self.seconds,
-                "peak_rss_mb": self.peak_rss_mb,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def peak_rss_mb() -> float:

@@ -456,6 +456,13 @@ def test_unary_gradcheck(op):
     check_grads(op, rng.uniform(-2, 2, (4, 3)))
 
 
+def test_identity_records_no_rule():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        assert ad.identity(x) is x
+    assert len(tape) == 0
+
+
 def test_relu_gradcheck_away_from_kink():
     rng = np.random.default_rng(9)
     x = rng.uniform(-2, 2, (4, 3))

@@ -2,6 +2,7 @@
 config-file merging, exit codes, and byte-stable reruns."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,82 @@ def test_train_numeric_failure_exit_code(synth_dir, data_dir, tmp_path, capsys):
     assert "numeric" in capsys.readouterr().err
 
 
+# One config file with a value of every type; the run also gives --epochs.
+VALID_TRAIN_CONFIG = {
+    "model": "attention-cfa", "windows": [2, 3], "lr": 1, "neg_keep": None,
+    "cfa_last": False, "oov_policy": "zero", "finetune_words": True, "dropout": 0.25,
+    "filters": 4, "pos_dim": 4, "max_offset": 5, "attn_hidden": 6, "ffn_hidden": 8,
+    "conv_act": "relu", "layers": 2, "batch_size": 16, "epochs": 3, "seed": 3,
+}
+
+# The manifest's config block, bar data_dir and out, that the same run wrote
+# when config values were merged by hand (with --embeddings as a flag).
+VALID_TRAIN_MANIFEST = {
+    "attn_act": "tanh", "attn_hidden": 6, "batch_size": 16, "best_dev_f1": 0.8,
+    "best_epoch": 1, "cfa_act": "sigmoid", "cfa_last": False, "conv_act": "relu",
+    "dropout": 0.25, "epochs": 2, "ffn_hidden": 8, "filters": 4,
+    "finetune_words": True, "layers": 2, "lr": 1, "max_offset": 5,
+    "model": "attention-cfa", "neg_keep": None, "oov_policy": "zero", "patience": 5,
+    "pos_dim": 4, "seed": 3, "sweep_layers": False, "windows": [2, 3], "word_dim": None,
+}
+
+
+def test_train_config_values_reach_the_manifest_unchanged(synth_dir, data_dir, tmp_path):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({**VALID_TRAIN_CONFIG,
+                               "embeddings": str(synth_dir / "embeddings.txt")}))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--data-dir", data_dir, "--out", out,
+                   "--epochs", 2) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config.pop("data_dir"), config.pop("out")) == (str(data_dir), str(out))
+    assert config == VALID_TRAIN_MANIFEST
+    model = load_checkpoint(out / "model.ckpt")
+    assert model.words is not None and model.emb.oov_policy == "zero"
+    assert model.config.windows == (2, 3) and not model.config.cfa_last
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "epochs", "1"),
+    ("train", "layers", 2.0),
+    ("train", "finetune_words", "no"),
+    ("train", "model", "transformer"),
+    ("train", "seed", "3"),
+    ("train", "windows", ["2", "3"]),
+    ("train", "epochs", None),
+    ("train", "oov_policy", "nope"),
+    ("gen-data", "debug_provenance", "false"),
+    ("gen-data", "target_type", None),
+    ("synth", "noise", "0.3"),
+    ("gradcheck", "tol", "x"),
+])
+def test_config_values_are_checked_like_flags(
+        synth_dir, data_dir, tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "concat", key: value} if command == "train"
+                              else {key: value}))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["--data-dir", data_dir, "--embeddings", synth_dir / "embeddings.txt",
+                  "--out", out, "--windows", "2", "--filters", 2, "--pos-dim", 2,
+                  "--max-offset", 3, "--ffn-hidden", 4],
+        "gen-data": [
+            "--corpus-train", synth_dir / "corpus_train.jsonl",
+            "--corpus-dev", synth_dir / "corpus_dev.jsonl",
+            "--corpus-test", synth_dir / "corpus_test.jsonl",
+            "--lexicon", synth_dir / "lexicon.json",
+            "--typemap", synth_dir / "typemap.json",
+            "--target-type", "beta", "--out-dir", out],
+        "synth": ["--out-dir", out, *SMALL_SYNTH],
+        "gradcheck": [],
+    }[command]
+    rc = run_cli(command, "--config", cfg, *argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {cfg}: {key}: ")
+    assert captured.out == "" and not out.exists()
+
+
 # -- eval ---------------------------------------------------------------
 
 def test_eval_text_report(synth_dir, data_dir, run_dir, capsys):
@@ -474,6 +551,18 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+def test_help_is_unchanged(monkeypatch, capsys):
+    # Recorded before the settings' defaults moved into the flags; argparse
+    # wraps help text to COLUMNS.
+    golden = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, text in golden.items():
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*([command] if command else []), "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
 
 
 def test_invalid_model_choice_is_usage_error(data_dir, tmp_path):

@@ -36,6 +36,19 @@ def test_load_embeddings_small_file(tmp_path):
     assert emb.lookup("cat").tolist() == [1.0, 2.0, 3.0]
 
 
+def test_load_embeddings_reads_the_dim_from_the_first_vector(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("\n  \ncat 1.0 2.0 3.0\ndog -1 -1 -1\n")
+    emb = load_embeddings(p)
+    assert len(emb) == 2 and emb.dim == 3
+    p.write_text("cat 1.0 2.0 3.0\ndog -1 -1\n")
+    with pytest.raises(ValueError, match=":2: 2 values for 'dog', want 3"):
+        load_embeddings(p)
+    p.write_text("\n\n")
+    with pytest.raises(ValueError, match="embedding file is empty"):
+        load_embeddings(p)
+
+
 def test_load_embeddings_dim_mismatch(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 1.0 2.0\n")
