@@ -11,22 +11,17 @@ whole input is one sentence). Per-sentence values, such as a CFA scale or an
 attention query, are (B, .) rows, one per sentence.
 
 During the reverse replay the rules of `affine` and `conv1d_same` queue the
-factors of their leaf weight's gradient instead of adding a full-size product
-per call; each weight's queue is later summed with one matrix product. Op
-outputs and non-leaf weights are updated immediately, so every rule still
-reads a complete gradient for its own output. A leaf's `.grad` (leaves are
-tensors not made by an op, such as parameters) is therefore complete:
-
-- when `Tape.backward` returns, if no `GradSum` is open; or
-- when the `GradSum` open around several backwards exits. Each backward then
-  adds its queued factors to one map shared by all of them, so a training
-  step can record and replay one example per tape, freeing each example's
-  activations before the next runs, and still sum each weight once.
+factors of their weight's gradient on the weight instead of adding a
+full-size product per call. Reading a tensor's `.grad` first sums its queue,
+each weight with one matrix product, so `.grad` is complete whenever it is
+read: by the rule of the op that made a weight, by an optimizer or by a test.
+A training step can thus record and replay one example per tape, freeing
+each example's activations before the next runs, and still sum each weight
+once, when the optimizer reads its gradient.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 
 import numpy as np
@@ -40,18 +35,32 @@ class Tensor:
     """Dense float64 array, optionally participating in gradient recording.
 
     `grad` is a same-shape buffer present iff `requires_grad`; backward rules
-    accumulate into it. Tensors built outside an active tape (or from inputs
-    with `requires_grad=False`) are constants. `is_leaf` is False exactly for
-    op outputs.
+    add into it or queue factors of it, and reading `grad` sums the queue.
+    Assigning `grad` replaces the gradient, queue included; `zero_grad`
+    drops the queue. Tensors built outside an active tape (or from inputs
+    with `requires_grad=False`) are constants.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "_grad", "_queue")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros(self.data.shape) if self.requires_grad else None
-        self.is_leaf = True
+        self._grad = np.zeros(self.data.shape) if self.requires_grad else None
+        self._queue = None  # {sum_into: [factors, ...]}, filled by _defer
+
+    @property
+    def grad(self):
+        if self._queue:
+            queue, self._queue = self._queue, None
+            for sum_into, factors in queue.items():
+                sum_into(self._grad, factors)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+        self._queue = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,8 +70,9 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        if self.grad is not None:
-            self.grad.fill(0.0)
+        self._queue = None
+        if self._grad is not None:
+            self._grad.fill(0.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -78,9 +88,9 @@ def _active_tape():
 class Tape:
     """Ordered record of operations; replaying the rules in reverse applies
     the chain rule. Single-threaded; call `backward` at most once per
-    recording. A leaf's `.grad` is complete when `backward` returns, or,
-    inside a `GradSum`, when the `GradSum` exits: queued weight gradients are
-    summed after the replay.
+    recording. Each backward adds into the gradients of the tensors it
+    reaches, until `zero_grads`; a weight's factors stay queued until its
+    `.grad` is read.
 
         with Tape() as tape:
             loss = ...
@@ -112,46 +122,8 @@ class Tape:
         if loss.data.shape != ():
             raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
         loss.grad.fill(1.0)
-        # The queue lives on the thread, not the tape: a rule that reached its
-        # tape would make a tape <-> rules cycle only the cyclic GC frees.
-        # Without an open GradSum, the backward sums its own queue.
-        with GradSum() if _pending() is None else contextlib.nullcontext():
-            for rule in reversed(self._rules):
-                rule()
-
-
-class GradSum:
-    """Sum leaf-weight gradients once over every `Tape.backward` run while it
-    is open on this thread, instead of once per backward:
-
-        zero_grads(params)
-        with GradSum():
-            for ex in batch:
-                with Tape() as tape:
-                    loss = ...
-                tape.backward(loss)
-        # every .grad is complete here
-
-    Leaving it by an exception sums nothing. It does not nest.
-    """
-
-    def __enter__(self):
-        if _pending() is not None:
-            raise RuntimeError("a GradSum is already open on this thread")
-        _ACTIVE.pending = {}
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        pending, _ACTIVE.pending = _ACTIVE.pending, None
-        if exc_type is None:
-            for (sum_into, weight), factors in pending.items():
-                sum_into(weight.grad, factors)
-        return False
-
-
-def _pending():
-    """The open GradSum's queue: {(sum_into, leaf weight): [factors, ...]}."""
-    return getattr(_ACTIVE, "pending", None)
+        for rule in reversed(self._rules):
+            rule()
 
 
 def zero_grads(tensors):
@@ -164,20 +136,15 @@ def _out(data, *inputs) -> tuple[Tensor, Tape | None]:
     tape = _active_tape()
     # a list, not a generator: this runs once per op, ~2% of a training step
     track = tape is not None and any([t.requires_grad for t in inputs])
-    out = Tensor(data, requires_grad=track)
-    out.is_leaf = False
-    return out, (tape if track else None)
+    return Tensor(data, requires_grad=track), (tape if track else None)
 
 
 def _defer(sum_into, weight: Tensor, factors):
-    """From a rule: queue `factors` of a leaf weight's gradient, to be summed
-    once the replay (or the open `GradSum`) ends; a non-leaf weight is updated
-    now, since its own rule will read its gradient.
-    `sum_into(grad, [factors, ...])` adds it."""
-    if weight.is_leaf:
-        _ACTIVE.pending.setdefault((sum_into, weight), []).append(factors)
-    else:
-        sum_into(weight.grad, [factors])
+    """From a rule: queue `factors` of weight's gradient on the weight, to be
+    added by `sum_into(grad, [factors, ...])` when `weight.grad` is read."""
+    if weight._queue is None:
+        weight._queue = {}
+    weight._queue.setdefault(sum_into, []).append(factors)
 
 
 def _affine_weight_grad(grad, factors):

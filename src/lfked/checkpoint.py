@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .baseline import LinearBaseline
-from .corpus import sha256_file
+from .corpus import read_json_object, sha256_file
 from .encoding import EmbeddingTable, WordTable, load_embeddings
 from .models import Model, ModelConfig
 
@@ -102,10 +102,12 @@ def load_checkpoint(path, emb: EmbeddingTable | None = None, emb_path=None):
     """Rebuild the saved model. Pass emb to reuse an already-loaded table, or
     emb_path to read the vectors from another file than the stored one; either
     way a loaded table gets the checkpoint's OOV policy and seed."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json_object(path, "checkpoint")
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a checkpoint file (format {doc.get('format')!r})")
+    for key in ("kind", "config", "embeddings", "params"):
+        if key not in doc:
+            raise ValueError(f"{path}: checkpoint has no {key!r} entry")
     emb = _resolve_embeddings(doc, emb, emb_path)
 
     if doc["kind"] == "cnn":

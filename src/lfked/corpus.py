@@ -198,13 +198,35 @@ def _jsonl_records(path):
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
 
 
+def _list(rec: dict, key: str) -> list:
+    """rec[key] as a list. A string is refused: list() would split it into
+    its characters."""
+    value = rec[key]
+    if isinstance(value, str):
+        raise TypeError(f"{key!r} must be a list, not a string")
+    return list(value)
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object a file holds; `what` names the kind of file in the
+    error raised for any other JSON value."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, not a {type(raw).__name__}")
+    return raw
+
+
 def load_corpus(path) -> Corpus:
     docs: dict[str, Document] = {}
     for lineno, rec in _jsonl_records(path):
         try:
             doc_id = rec["doc"]
             sent = Sentence(
-                tokens=list(rec["tokens"]),
+                tokens=_list(rec, "tokens"),
                 mentions=[
                     EventMention(anchor=int(m["anchor"]), subtype=str(m["subtype"]))
                     for m in rec.get("mentions", [])
@@ -238,10 +260,14 @@ def save_corpus(corpus: Corpus, path):
 
 
 def load_typemap(path) -> TypeMap:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    tm = TypeMap(types=list(raw["types"]), subtype_of=dict(raw["subtype_of"]))
-    tm.validate()
+    raw = read_json_object(path, "typemap")
+    try:
+        tm = TypeMap(types=_list(raw, "types"), subtype_of=dict(raw["subtype_of"]))
+        tm.validate()
+    except KeyError as e:
+        raise ValueError(f"{path}: typemap has no {e} entry") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from e
     return tm
 
 
@@ -257,9 +283,11 @@ def save_typemap(type_map: TypeMap, path):
 
 
 def load_lexicon(path) -> TriggerLexicon:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    return TriggerLexicon({sub: {w.lower() for w in words} for sub, words in raw.items()})
+    raw = read_json_object(path, "lexicon")
+    try:
+        return TriggerLexicon({sub: {w.lower() for w in _list(raw, sub)} for sub in raw})
+    except (AttributeError, TypeError) as e:  # a word that is not a string has no .lower
+        raise ValueError(f"{path}: {e}") from e
 
 
 def save_lexicon(lexicon: TriggerLexicon, path):
@@ -277,9 +305,9 @@ def load_dataset(path) -> list[LFKExample]:
     for lineno, rec in _jsonl_records(path):
         try:
             ex = LFKExample(
-                tokens=list(rec["tokens"]),
+                tokens=_list(rec, "tokens"),
                 anchor=int(rec["anchor"]),
-                keywords=tuple(rec["keywords"]),
+                keywords=tuple(_list(rec, "keywords")),
                 label=int(rec["label"]),
                 source_subtype=rec.get("source_subtype"),
             )

@@ -6,11 +6,11 @@ trained object only needs named_params(), loss(example, train, rng), and
 predict_batch(examples) (one 0/1 label per example, in order, used by the
 dev-set evaluation), so the CNN models and the linear baseline share the loop.
 
-A step over a mini-batch of B examples zeroes the gradients, then, inside one
-`GradSum`, records each example's loss scaled by 1/B on a tape of its own
-and runs that tape's backward at once, so only one example's activations are
-alive at a time; the weight gradients the backwards queue are summed when the
-`GradSum` closes. The step then checks the summed loss and applies Adadelta.
+A step over a mini-batch of B examples zeroes the gradients, then records
+each example's loss scaled by 1/B on a tape of its own and runs that tape's
+backward at once, so only one example's activations are alive at a time.
+The step then checks the summed loss and applies Adadelta, whose read of each
+weight's `.grad` sums the gradient factors the backwards queued on it.
 Each epoch's log line carries the process's peak resident memory so far.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import GradSum, Tape, Tensor, mul, zero_grads
+from .autodiff import Tape, Tensor, mul, zero_grads
 from .metrics import EvalReport, evaluate
 from .seeding import rng_for
 
@@ -63,9 +63,9 @@ class Adadelta:
     def step(self):
         rho, eps, lr = self.rho, self.eps, self.lr
         for name, p in self.params.items():
-            if p.grad is None:
-                raise RuntimeError(f"parameter {name!r} has no gradient buffer")
             g = p.grad
+            if g is None:
+                raise RuntimeError(f"parameter {name!r} has no gradient buffer")
             eg = self.sq_grad[name]
             ed = self.sq_delta[name]
             a, b = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
@@ -173,12 +173,11 @@ def batch_gradients(model, params, batch, rng) -> float:
     scale = Tensor(1.0 / len(batch))
     total = 0.0
     zero_grads(params)
-    with GradSum():
-        for ex in batch:
-            with Tape() as tape:
-                loss = model.loss(ex, train=True, rng=rng)
-                tape.backward(mul(loss, scale))
-            total += float(loss.data)
+    for ex in batch:
+        with Tape() as tape:
+            loss = model.loss(ex, train=True, rng=rng)
+            tape.backward(mul(loss, scale))
+        total += float(loss.data)
     return total
 
 

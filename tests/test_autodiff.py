@@ -1,4 +1,3 @@
-import contextlib
 import math
 
 import numpy as np
@@ -220,19 +219,27 @@ def _weight_loss(seq, filters, weight, bias):
     return ad.mean(ad.affine(weight, h, Tensor(bias)))
 
 
-def _weight_loss_grads(seqs, filters, weight, bias, grad_sum=None):
-    """One backward of _weight_loss per sequence, each on its own tape, inside
-    grad_sum if one is given. Returns (filters.grad, weight.grad) as read
-    after each backward, and at the end."""
+def _weight_loss_grads(seqs, filters, weight, bias):
+    """One backward of _weight_loss per sequence, each on its own tape.
+    Returns (filters.grad, weight.grad) as read after each backward."""
     tf, tw = Tensor(filters, requires_grad=True), Tensor(weight, requires_grad=True)
     after_each = []
-    with grad_sum or contextlib.nullcontext():
-        for s in seqs:
-            with Tape() as tape:
-                loss = _weight_loss(s, tf, tw, bias)
-            tape.backward(loss)
-            after_each.append((tf.grad.copy(), tw.grad.copy()))
-    return after_each, (tf.grad, tw.grad)
+    for s in seqs:
+        with Tape() as tape:
+            loss = _weight_loss(s, tf, tw, bias)
+        tape.backward(loss)
+        after_each.append((tf.grad.copy(), tw.grad.copy()))
+    return after_each
+
+
+def _queued_weights(seqs, filters, weight, bias):
+    """Weight tensors after one backward per sequence, with .grad not yet read."""
+    tf, tw = Tensor(filters, requires_grad=True), Tensor(weight, requires_grad=True)
+    for s in seqs:
+        with Tape() as tape:
+            loss = _weight_loss(s, tf, tw, bias)
+        tape.backward(loss)
+    return tf, tw
 
 
 def _grad_sum_case():
@@ -242,69 +249,40 @@ def _grad_sum_case():
             rng.uniform(-1, 1, 5))
 
 
-def test_backward_outside_grad_sum_completes_leaf_grads():
-    # Without a GradSum, each backward sums its own queue before returning.
+def test_each_backward_adds_a_complete_weight_gradient():
     seqs, filters, weight, bias = _grad_sum_case()
-    [(f1, w1), (f2, w2)], _ = _weight_loss_grads([seqs[0]] * 2, filters, weight, bias)
+    [(f1, w1), (f2, w2)] = _weight_loss_grads([seqs[0]] * 2, filters, weight, bias)
     loss = lambda: _weight_loss(seqs[0], Tensor(filters), Tensor(weight), bias).item()
     assert max_rel_error(f1, central_diff(loss, filters)) < 1e-6
     assert max_rel_error(w1, central_diff(loss, weight)) < 1e-6
     np.testing.assert_array_equal(f2, 2 * f1)
     np.testing.assert_array_equal(w2, 2 * w1)
-    assert ad._pending() is None
 
 
-def test_grad_sum_sums_leaf_weights_once_on_exit():
+def test_first_read_of_grad_sums_the_queued_backwards():
     seqs, filters, weight, bias = _grad_sum_case()
-    _, (ref_f, ref_w) = _weight_loss_grads(seqs, filters, weight, bias)
-    after_each, (got_f, got_w) = _weight_loss_grads(seqs, filters, weight, bias,
-                                                    grad_sum=ad.GradSum())
-    # queued, not yet added, while the GradSum is open
-    assert all(not f.any() and not w.any() for f, w in after_each)
-    np.testing.assert_allclose(got_f, ref_f, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(got_w, ref_w, rtol=0, atol=1e-14)
-    assert ad._pending() is None
+    each = [_weight_loss_grads([s], filters, weight, bias)[0] for s in seqs]
+    tf, tw = _queued_weights(seqs, filters, weight, bias)
+    for t, want in ((tf, sum(f for f, _ in each)), (tw, sum(w for _, w in each))):
+        first = t.grad.copy()
+        np.testing.assert_allclose(first, want, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(t.grad, first)
 
 
-def test_grad_sum_exception_sums_nothing_and_clears_state():
+def test_zero_grad_drops_queued_factors():
     seqs, filters, weight, bias = _grad_sum_case()
-    tf, tw = Tensor(filters, requires_grad=True), Tensor(weight, requires_grad=True)
-    with pytest.raises(KeyError):
-        with ad.GradSum():
-            with Tape() as tape:
-                loss = _weight_loss(seqs[0], tf, tw, bias)
-            tape.backward(loss)
-            raise KeyError("stop")
+    tf, tw = _queued_weights(seqs, filters, weight, bias)
+    ad.zero_grads([tf, tw])
     assert not tf.grad.any() and not tw.grad.any()
-    assert ad._pending() is None
-    # the thread is usable again: a plain backward and a new GradSum both sum
-    _, ref = _weight_loss_grads(seqs, filters, weight, bias)
-    _, got = _weight_loss_grads(seqs, filters, weight, bias, grad_sum=ad.GradSum())
-    np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-14)
 
 
-def test_grad_sum_does_not_nest():
+def test_assigning_grad_discards_queued_factors():
     seqs, filters, weight, bias = _grad_sum_case()
-    _, ref = _weight_loss_grads(seqs, filters, weight, bias)
-    tf, tw = Tensor(filters, requires_grad=True), Tensor(weight, requires_grad=True)
-    with ad.GradSum():
-        with pytest.raises(RuntimeError, match="already open"):
-            ad.GradSum().__enter__()
-        for s in seqs:
-            with Tape() as tape:
-                loss = _weight_loss(s, tf, tw, bias)
-            tape.backward(loss)
-    # the refused inner one left the outer's queue in place
-    np.testing.assert_allclose(tf.grad, ref[0], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(tw.grad, ref[1], rtol=0, atol=1e-14)
-
-
-def test_op_outputs_are_not_leaves():
-    x = Tensor(np.ones(2), requires_grad=True)
-    assert x.is_leaf
-    with Tape():
-        y = ad.tanh(x)
-    assert not y.is_leaf
+    tf, tw = _queued_weights(seqs, filters, weight, bias)
+    tf.grad = np.ones(filters.shape)
+    tw.grad = np.ones(weight.shape)
+    np.testing.assert_array_equal(tf.grad, np.ones(filters.shape))
+    np.testing.assert_array_equal(tw.grad, np.ones(weight.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,33 @@ def test_gen_data_unknown_target_type(synth_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, content, message", [
+    ("--typemap", '{"subtype_of": {}}', ": typemap has no 'types' entry"),
+    ("--typemap", '{"types": [', ":2: invalid JSON (Expecting value)"),
+    ("--typemap", '{"types": ["a"], "subtype_of": {"s": "b"}}',
+     ": subtype 's' maps to unknown type 'b'"),
+    ("--lexicon", '["a"]', ": lexicon must be a JSON object, not a list"),
+    ("--lexicon", '{"a": "trig"}', ": 'a' must be a list, not a string"),
+    ("--lexicon", '{"a": [1]}', ": 'int' object has no attribute 'lower'"),
+    ("--corpus-test", '{"doc": "d", "tokens": "abc"}',
+     ":1: bad sentence record ('tokens' must be a list, not a string)"),
+], ids=["typemap-without-types", "typemap-bad-json", "typemap-unknown-type", "lexicon-list",
+       "lexicon-string", "lexicon-number", "corpus-string"])
+def test_gen_data_rejects_an_input_of_the_wrong_shape(
+        synth_dir, tmp_path, capsys, flag, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content + "\n")
+    inputs = {"--corpus-train": "corpus_train.jsonl", "--corpus-dev": "corpus_dev.jsonl",
+              "--corpus-test": "corpus_test.jsonl", "--lexicon": "lexicon.json",
+              "--typemap": "typemap.json"}
+    argv = [a for f, name in inputs.items()
+            for a in (f, bad if f == flag else synth_dir / name)]
+    rc = run_cli("gen-data", *argv, "--target-type", "beta", "--out-dir", tmp_path / "out")
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_config_file_with_flag_override(synth_dir, tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({
@@ -506,6 +533,8 @@ def test_eval_finetune_words_scores_unseen_tokens(synth_dir, data_dir, tmp_path,
     ({"keywords": []}, "empty keyword set"),
     ({"anchor": 99}, "anchor 99 outside 0..2"),
     ({"label": 2}, "label must be 0 or 1, got 2"),
+    ({"tokens": "abc"}, "bad example record ('tokens' must be a list, not a string)"),
+    ({"keywords": "k"}, "bad example record ('keywords' must be a list, not a string)"),
 ])
 def test_eval_rejects_a_bad_dataset_record_with_its_location(
         run_dir, tmp_path, capsys, overrides, message):
@@ -515,6 +544,20 @@ def test_eval_rejects_a_bad_dataset_record_with_its_location(
     rc = run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", bad)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "checkpoint must be a JSON object, not a list"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "embeddings"},
+     "checkpoint has no 'embeddings' entry"),
+], ids=["list", "no-embeddings"])
+def test_eval_rejects_a_checkpoint_of_the_wrong_shape(
+        data_dir, run_dir, tmp_path, capsys, edit, message):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text(json.dumps(edit(json.loads((run_dir / "model.ckpt").read_text()))))
+    rc = run_cli("eval", "--checkpoint", bad, "--data", data_dir / "test.jsonl")
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_eval_missing_checkpoint(data_dir, tmp_path):

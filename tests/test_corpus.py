@@ -208,6 +208,14 @@ def test_load_corpus_rejects_missing_field(tmp_path):
         load_corpus(p)
 
 
+def test_load_corpus_rejects_a_string_of_tokens(tmp_path):
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"doc": "d", "tokens": ["a"]}\n{"doc": "d", "tokens": "abc"}\n')
+    with pytest.raises(ValueError) as err:
+        load_corpus(p)
+    assert str(err.value) == f"{p}:2: bad sentence record ('tokens' must be a list, not a string)"
+
+
 def test_typemap_roundtrip(tmp_path):
     p = tmp_path / "types.json"
     save_typemap(small_typemap(), p)
@@ -223,6 +231,14 @@ def test_lexicon_roundtrip_sorted_and_lowercased(tmp_path):
     p2 = tmp_path / "lex2.json"
     p2.write_text('{"s": ["Fired", "LEFT"]}')
     assert load_lexicon(p2).pool("s") == {"fired", "left"}
+
+
+def test_load_lexicon_rejects_a_string_of_triggers(tmp_path):
+    p = tmp_path / "lex.json"
+    p.write_text('{"a": "trig"}')
+    with pytest.raises(ValueError) as err:
+        load_lexicon(p)
+    assert str(err.value) == f"{p}: 'a' must be a list, not a string"
 
 
 def test_dataset_roundtrip_and_sorted_keywords(tmp_path):
@@ -261,6 +277,8 @@ BAD_RECORDS = [
     ({"anchor": -1}, "anchor -1 outside 0..2"),
     ({"label": 2}, "label must be 0 or 1, got 2"),
     ({"anchor": "x"}, "bad example record (invalid literal for int() with base 10: 'x')"),
+    ({"tokens": "abc"}, "bad example record ('tokens' must be a list, not a string)"),
+    ({"keywords": "k"}, "bad example record ('keywords' must be a list, not a string)"),
 ]
 
 

@@ -520,8 +520,8 @@ def _batch_grads(model, batch, tape_size, seed=4):
 @pytest.mark.parametrize("variant", ["concat", "attention", "concat-cfa",
                                      "attention-cfa", "finetune-words"])
 def test_batch_gradients_equal_sum_of_per_example_tapes(variant):
-    # Leaf weight gradients are summed once per backward over the whole batch;
-    # they must equal the sum of one-example tapes. Lengths 1 and 2 are shorter
+    # Weight gradient factors queued over a whole-batch tape are summed once,
+    # when .grad is read; they must equal the sum of one-example tapes. Lengths 1 and 2 are shorter
     # than window 5, and anchors sit at both sentence edges.
     emb = tiny_emb()
     batch = [

@@ -1,12 +1,16 @@
-"""Property tests: the packed forward against the per-example forward, and the
-invariants of binary example generation."""
+"""Property tests: the packed forward against the per-example forward, the
+invariants of binary example generation, and file round trips."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfked.baseline import LinearBaseline
+from lfked.checkpoint import load_checkpoint, save_checkpoint
 from lfked.corpus import (
     OTHER,
     Corpus,
@@ -17,9 +21,15 @@ from lfked.corpus import (
     TriggerLexicon,
     TypeMap,
     holdout_split,
+    load_corpus,
+    load_dataset,
+    save_corpus,
+    save_dataset,
 )
 from lfked.datagen import KEYWORDS_PER_EXAMPLE, POSITIVES_PER_MENTION, generate_lfk
+from lfked.encoding import WordTable, load_embeddings, write_embeddings
 from lfked.models import Model, ModelConfig
+from lfked.seeding import rng_for
 
 from test_models import tiny_config, tiny_emb
 
@@ -110,3 +120,80 @@ def test_generated_examples_keep_the_datagen_invariants(corpus, lexicon, seed):
         assert ex.source_subtype not in target
         assert len(set(ex.keywords)) == KEYWORDS_PER_EXAMPLE
         assert set(ex.keywords) <= lexicon.pool(ex.source_subtype)
+
+
+# --- file round trips ---------------------------------------------------------
+
+TEXT = st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def any_sentences(draw):
+    tokens = draw(st.lists(TEXT, min_size=1, max_size=6))
+    anchors = st.integers(0, len(tokens) - 1)
+    return Sentence(tokens, draw(st.lists(st.builds(EventMention, anchors, TEXT), max_size=3)))
+
+
+# load_corpus merges documents that share an id, so ids are distinct
+any_corpora = st.builds(Corpus, st.lists(
+    st.builds(Document, TEXT, st.lists(any_sentences(), min_size=1, max_size=3)),
+    max_size=4, unique_by=lambda doc: doc.doc_id))
+
+
+@st.composite
+def any_examples(draw):
+    tokens = draw(st.lists(TEXT, min_size=1, max_size=6))
+    return LFKExample(tokens, draw(st.integers(0, len(tokens) - 1)),
+                      tuple(draw(st.lists(TEXT, min_size=1, max_size=4))),
+                      draw(st.integers(0, 1)), draw(st.none() | TEXT))
+
+
+def _resaved(save, load, obj, **kw):
+    """The bytes of obj saved, loaded and saved again; they must be equal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a"), Path(tmp, "b")
+        save(obj, first, **kw)
+        save(load(first), second, **kw)
+        return first.read_bytes(), second.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=any_corpora)
+def test_corpus_file_round_trip_is_byte_identical(corpus):
+    first, second = _resaved(save_corpus, load_corpus, corpus)
+    assert first == second
+
+
+@settings(max_examples=60, deadline=None)
+@given(examples=st.lists(any_examples(), max_size=5), debug=st.booleans())
+def test_dataset_file_round_trip_is_byte_identical(examples, debug):
+    first, second = _resaved(save_dataset, load_dataset, examples, debug=debug)
+    assert first == second
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["cnn", "finetune-words", "baseline"]),
+       variant=st.sampled_from(["concat", "attention", "concat-cfa", "attention-cfa"]),
+       windows=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+       layers=st.integers(1, 2), cfa_last=st.booleans(), seed=st.integers(0, 2**16),
+       batch=st.lists(sentences(), min_size=1, max_size=4))
+def test_checkpoint_reloads_to_identical_logits_and_bytes(
+        kind, variant, windows, layers, cfa_last, seed, batch):
+    rng = rng_for(seed, "emb")
+    with tempfile.TemporaryDirectory() as tmp:
+        emb_path, first, second = Path(tmp, "emb.txt"), Path(tmp, "a"), Path(tmp, "b")
+        write_embeddings({t: rng.normal(size=8) for t in VOCAB + KEYWORDS}, emb_path)
+        emb = load_embeddings(emb_path)
+        if kind == "baseline":
+            model = LinearBaseline(emb)
+        else:
+            config = tiny_config(windows=tuple(windows), layers=layers, cfa_last=cfa_last,
+                                 seed=seed).with_variant(variant)
+            words = WordTable(emb, VOCAB) if kind == "finetune-words" else None
+            model = Model(config, emb, words=words)
+        save_checkpoint(model, first, emb_path=emb_path)
+        back = load_checkpoint(first)
+        save_checkpoint(back, second, emb_path=emb_path)
+        assert first.read_bytes() == second.read_bytes()
+    np.testing.assert_array_equal(back.forward_batch(batch).data,
+                                  model.forward_batch(batch).data)
