@@ -15,16 +15,47 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .baseline import LinearBaseline
-from .corpus import read_json_object, sha256_file
+from .corpus import from_json, read_json_object, sha256_file
 from .encoding import EmbeddingTable, WordTable, load_embeddings
 from .models import Model, ModelConfig
 
 FORMAT = "lfked-checkpoint-v1"
+
+
+# The layout save_checkpoint writes, which load_checkpoint reads through from_json.
+@dataclass
+class _Array:
+    shape: list[int]
+    data: str
+
+
+@dataclass
+class _EmbeddingRef:
+    path: str | None
+    dim: int
+    oov_policy: str
+    seed: int
+    sha256: str | None = None       # absent from checkpoints saved before digests
+
+
+@dataclass
+class _Checkpoint:
+    format: str
+    kind: str
+    config: ModelConfig
+    embeddings: _EmbeddingRef
+    params: dict[str, _Array]
+    word_vocab: list[str] | None = None
+
+
+@dataclass
+class _BaselineCheckpoint(_Checkpoint):
+    config: dict[str, int]
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -34,9 +65,9 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(entry: dict) -> np.ndarray:
-    raw = base64.b64decode(entry["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+def _decode_array(entry: _Array) -> np.ndarray:
+    raw = base64.b64decode(entry.data)
+    return np.frombuffer(raw, dtype="<f8").reshape(entry.shape).copy()
 
 
 def _emb_meta(emb: EmbeddingTable, emb_path) -> dict:
@@ -76,25 +107,23 @@ def save_checkpoint(model, path, emb_path=None):
         f.write("\n")
 
 
-def _resolve_embeddings(doc: dict, emb: EmbeddingTable | None,
+def _resolve_embeddings(meta: _EmbeddingRef, emb: EmbeddingTable | None,
                         emb_path=None) -> EmbeddingTable:
-    meta = doc["embeddings"]
     if emb is None:
-        path = emb_path or meta["path"]
+        path = emb_path or meta.path
         if not path:
             raise ValueError(
                 "checkpoint stores no embedding path; pass the embedding table"
             )
-        expected, actual = meta.get("sha256"), sha256_file(path)
+        expected, actual = meta.sha256, sha256_file(path)
         if expected is not None and actual != expected:
             raise ValueError(
                 f"embedding file {path} has sha256 {actual}, but the checkpoint "
                 f"was saved with an embedding file of sha256 {expected}"
             )
-        emb = load_embeddings(path, meta["dim"],
-                              oov_policy=meta["oov_policy"], seed=meta["seed"])
-    if emb.dim != meta["dim"]:
-        raise ValueError(f"embedding dim {emb.dim} != checkpoint dim {meta['dim']}")
+        emb = load_embeddings(path, meta.dim, oov_policy=meta.oov_policy, seed=meta.seed)
+    if emb.dim != meta.dim:
+        raise ValueError(f"embedding dim {emb.dim} != checkpoint dim {meta.dim}")
     return emb
 
 
@@ -105,26 +134,20 @@ def load_checkpoint(path, emb: EmbeddingTable | None = None, emb_path=None):
     doc = read_json_object(path, "checkpoint")
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a checkpoint file (format {doc.get('format')!r})")
-    for key in ("kind", "config", "embeddings", "params"):
-        if key not in doc:
-            raise ValueError(f"{path}: checkpoint has no {key!r} entry")
-    emb = _resolve_embeddings(doc, emb, emb_path)
+    ck = from_json(_BaselineCheckpoint if doc.get("kind") == "baseline" else _Checkpoint,
+                   doc, path, "checkpoint")
+    emb = _resolve_embeddings(ck.embeddings, emb, emb_path)
 
-    if doc["kind"] == "cnn":
-        raw = dict(doc["config"])
-        raw["windows"] = tuple(raw["windows"])
-        config = ModelConfig(**raw)
-        words = None
-        if "word_vocab" in doc:
-            words = WordTable(emb, doc["word_vocab"])
-        model = Model(config, emb, words=words)
-    elif doc["kind"] == "baseline":
+    if ck.kind == "cnn":
+        words = WordTable(emb, ck.word_vocab) if ck.word_vocab is not None else None
+        model = Model(ck.config, emb, words=words)
+    elif ck.kind == "baseline":
         model = LinearBaseline(emb)
     else:
-        raise ValueError(f"{path}: unknown checkpoint kind {doc['kind']!r}")
+        raise ValueError(f"{path}: unknown checkpoint kind {ck.kind!r}")
 
     named = model.named_params()
-    saved = doc["params"]
+    saved = ck.params
     if set(named) != set(saved):
         missing = set(named) ^ set(saved)
         raise ValueError(f"{path}: parameter names disagree with config: {sorted(missing)}")

@@ -31,11 +31,13 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
     dataset_stats,
     ensure_dir,
+    from_json,
     holdout_split,
     load_corpus,
     load_dataset,
     load_lexicon,
     load_typemap,
+    read_json_object,
     save_corpus,
     save_dataset,
     save_lexicon,
@@ -81,10 +83,7 @@ class Subcommand(argparse.ArgumentParser):
 
     def read_config(self, path):
         """Check a config file's values and make them this parser's defaults."""
-        with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
-        if not isinstance(cfg, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
+        cfg = read_json_object(path, "config")
         unknown = set(cfg) - set(self.keys)
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
@@ -95,21 +94,9 @@ class Subcommand(argparse.ArgumentParser):
 
 def _check_value(where: str, action: argparse.Action, value):
     """Reject a config-file value that the flag's type or choices would not give."""
-    if value is None:
-        if action.default is not None:
-            raise ValueError(f"{where}: null is not allowed")
-        return
-    if action.nargs == 0:
-        want, ok = "true or false", isinstance(value, bool)
-    elif action.type in (int, float):
-        want = "an integer" if action.type is int else "a number"
-        ok = type(value) in (int, action.type)
-    elif action.dest == "windows" and isinstance(value, list):
-        want, ok = "a list of integers", all(type(w) is int for w in value)
-    else:
-        want, ok = "a string", isinstance(value, str)
-    if not ok:
-        raise ValueError(f"{where}: want {want}, got {json.dumps(value)}")
+    typ = (bool if action.nargs == 0 else str | list[int] if action.dest == "windows"
+           else action.type or str)
+    from_json(typ if action.default is not None else typ | None, value, where)
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"{where}: must be one of {list(action.choices)}, got {value!r}")
 
@@ -396,7 +383,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -4,21 +4,21 @@ A corpus is documents of sentences; each sentence carries tokens and anchored
 event mentions. Subtypes hang off types via a TypeMap; the pseudo-subtype
 "Other" marks non-event anchor candidates and belongs to no type.
 
-File formats (all JSON / JSON-lines, UTF-8):
-  corpus:   one sentence per line
-            {"doc": str, "tokens": [str], "mentions": [{"anchor": int, "subtype": str}]}
-  typemap:  {"types": [str], "subtype_of": {subtype: type}}
-  lexicon:  {subtype: [trigger words]}
-  dataset:  one example per line
-            {"tokens": [str], "anchor": int, "keywords": [str], "label": 0|1}
-            keyword lists are sorted; debug mode adds "source_subtype".
+Files are JSON or JSON-lines, UTF-8. A corpus holds one _CorpusLine per line,
+a dataset one LFKExample, a typemap is a TypeMap and a lexicon maps subtypes to
+trigger words; from_json checks a record's keys and their JSON kinds against
+its dataclass's fields and annotations.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 OTHER = "Other"
 
@@ -33,6 +33,13 @@ class EventMention:
 class Sentence:
     tokens: list[str]
     mentions: list[EventMention] = field(default_factory=list)
+
+
+@dataclass(kw_only=True)
+class _CorpusLine(Sentence):
+    """One line of a corpus file: a sentence and the id of its document."""
+
+    doc: str
 
 
 @dataclass
@@ -198,15 +205,6 @@ def _jsonl_records(path):
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
 
 
-def _list(rec: dict, key: str) -> list:
-    """rec[key] as a list. A string is refused: list() would split it into
-    its characters."""
-    value = rec[key]
-    if isinstance(value, str):
-        raise TypeError(f"{key!r} must be a list, not a string")
-    return list(value)
-
-
 def read_json_object(path, what: str) -> dict:
     """The JSON object a file holds; `what` names the kind of file in the
     error raised for any other JSON value."""
@@ -220,21 +218,126 @@ def read_json_object(path, what: str) -> dict:
     return raw
 
 
+class JsonKind(NamedTuple):
+    """The JSON values an annotation admits: `ok` tests a value, elements and
+    fields included, and `make` builds the annotated value from one it passes."""
+
+    want: str                           # "an integer", "a list", ...
+    types: frozenset                    # the types json.load gives such values
+    ok: Callable
+    of: JsonKind | dict | None = None   # element kind, or a record's field kinds
+    required: frozenset = frozenset()   # a record's fields that have no default
+    make: Callable | None = None        # None: the JSON value itself
+
+
+def _plain(want: str, *types) -> JsonKind:
+    types = frozenset(types)
+    return JsonKind(want, types, lambda v: type(v) in types)
+
+
+# An int is not a bool here: type(True) is bool.
+_PLAIN = {bool: _plain("true or false", bool), int: _plain("an integer", int),
+          float: _plain("a number", int, float), str: _plain("a string", str),
+          type(None): _plain("null", type(None))}
+# What a value json.load gave is called in a message.
+_NAMES = {bool: "a bool", int: "an integer", float: "a float", str: "a string",
+          list: "a list", dict: "an object", type(None): "null"}
+
+
+@functools.cache
+def json_kind(ann) -> JsonKind:
+    """The JSON kind of an annotation: bool; int, which is neither a bool nor a
+    float; float, any number; str; list[X] or tuple[X, ...]; dict[str, X]; a
+    union of these, such as X | None; or a dataclass, an object of its fields."""
+    if ann in _PLAIN:
+        return _PLAIN[ann]
+    origin, args = get_origin(ann), get_args(ann)
+    if origin in (Union, UnionType):
+        parts = [json_kind(a) for a in args]
+        return JsonKind(" or ".join(p.want for p in parts),
+                        frozenset().union(*(p.types for p in parts)),
+                        lambda v: any(p.ok(v) for p in parts),
+                        next((p.of for p in parts if p.of), None))
+    if origin in (list, tuple, dict):   # tuple[X, ...]; a JSON object's keys are strings
+        t, of = (dict, json_kind(args[1])) if origin is dict else (list, json_kind(args[0]))
+        if of.of is None:               # plain elements: a set of their types will do
+            ok = lambda v: (type(v) is t
+                            and {*map(type, v.values() if t is dict else v)} <= of.types)
+        else:
+            ok = lambda v: type(v) is t and all(map(of.ok, v.values() if t is dict else v))
+        if not of.make:
+            make = tuple if origin is tuple else None
+        elif t is dict:
+            make = lambda v: {k: of.make(x) for k, x in v.items()}
+        else:
+            make = lambda v: origin(map(of.make, v))
+        return JsonKind(_NAMES[t], frozenset({t}), ok, of, make=make)
+    hints, validate = get_type_hints(ann), getattr(ann, "validate", None)
+    kinds = {f.name: json_kind(hints[f.name]) for f in fields(ann)}
+    oks = {k: kind.ok for k, kind in kinds.items()}
+    makers = {k: kind.make for k, kind in kinds.items() if kind.make}
+    required = frozenset(f.name for f in fields(ann)
+                         if f.default is MISSING and f.default_factory is MISSING)
+
+    def ok(v):      # map() and operator.call keep a record's fields out of Python loops
+        return (type(v) is dict and required <= v.keys() <= oks.keys()
+                and all(map(operator.call, map(oks.__getitem__, v), v.values())))
+
+    def make(v):
+        if makers:
+            v = dict(v)
+            for k, field_make in makers.items():
+                if k in v:
+                    v[k] = field_make(v[k])
+        obj = ann(**v)
+        if validate:
+            validate(obj)
+        return obj
+    return JsonKind("an object", frozenset({dict}), ok, kinds, required, make)
+
+
+def _problem(kind: JsonKind, value, name: str, what: str) -> str:
+    """Why kind.ok refuses `value`. `name` is the value's place in its record,
+    as 'mentions'[0]; the record itself has none and is called `what`."""
+    subject, t = name or what, type(value)
+    if t not in kind.types:
+        return f"{subject} must be {kind.want}, not {_NAMES[t]}".lstrip()
+    record = kind.of if isinstance(kind.of, dict) else None
+    if record is not None and not kind.required <= value.keys() <= record.keys():
+        missing = sorted(kind.required - value.keys())
+        unknown = sorted(value.keys() - record.keys())
+        return (f"{subject} has no {missing[0]!r} entry" if missing
+                else f"{subject} has unknown key {unknown[0]!r}").lstrip()
+    for k, x in value.items() if t is dict else enumerate(value):
+        sub = kind.of if record is None else record[k]
+        if not sub.ok(x):
+            return _problem(sub, x, f"{name}[{k!r}]" if name or t is list else repr(k), what)
+
+
+def from_json(ann, raw, where, what: str = "", line: int | None = None):
+    """The value of annotation `ann`, for a dataclass a validated instance, from
+    the JSON value `raw` read from `where`, a path: a `what` file, or the
+    `what` record on line `line` of a JSON-lines file. A value of another kind,
+    a missing field or an unknown key is refused as `where: <problem>`, or as
+    `where:line: bad <what> record (<problem>)`; an error of validate() as
+    `where[:line]: <error>`."""
+    kind = json_kind(ann)
+    try:
+        if kind.ok(raw):
+            return kind.make(raw) if kind.make else raw
+        problem = _problem(kind, raw, "", "" if line else what)
+        message = f"bad {what} record ({problem})" if line else problem
+    except ValueError as e:
+        message = str(e)
+    raise ValueError(f"{where}:{line}: {message}" if line else f"{where}: {message}")
+
+
 def load_corpus(path) -> Corpus:
     docs: dict[str, Document] = {}
     for lineno, rec in _jsonl_records(path):
-        try:
-            doc_id = rec["doc"]
-            sent = Sentence(
-                tokens=_list(rec, "tokens"),
-                mentions=[
-                    EventMention(anchor=int(m["anchor"]), subtype=str(m["subtype"]))
-                    for m in rec.get("mentions", [])
-                ],
-            )
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"{path}:{lineno}: bad sentence record ({e})") from e
-        docs.setdefault(doc_id, Document(doc_id)).sentences.append(sent)
+        line = from_json(_CorpusLine, rec, path, "sentence", lineno)
+        docs.setdefault(line.doc, Document(line.doc)).sentences.append(
+            Sentence(line.tokens, line.mentions))
     corpus = Corpus(list(docs.values()))
     corpus.validate()
     return corpus
@@ -260,15 +363,7 @@ def save_corpus(corpus: Corpus, path):
 
 
 def load_typemap(path) -> TypeMap:
-    raw = read_json_object(path, "typemap")
-    try:
-        tm = TypeMap(types=_list(raw, "types"), subtype_of=dict(raw["subtype_of"]))
-        tm.validate()
-    except KeyError as e:
-        raise ValueError(f"{path}: typemap has no {e} entry") from e
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: {e}") from e
-    return tm
+    return from_json(TypeMap, read_json_object(path, "typemap"), path, "typemap")
 
 
 def save_typemap(type_map: TypeMap, path):
@@ -283,11 +378,8 @@ def save_typemap(type_map: TypeMap, path):
 
 
 def load_lexicon(path) -> TriggerLexicon:
-    raw = read_json_object(path, "lexicon")
-    try:
-        return TriggerLexicon({sub: {w.lower() for w in _list(raw, sub)} for sub in raw})
-    except (AttributeError, TypeError) as e:  # a word that is not a string has no .lower
-        raise ValueError(f"{path}: {e}") from e
+    raw = from_json(dict[str, list[str]], read_json_object(path, "lexicon"), path, "lexicon")
+    return TriggerLexicon({sub: {w.lower() for w in words} for sub, words in raw.items()})
 
 
 def save_lexicon(lexicon: TriggerLexicon, path):
@@ -301,24 +393,8 @@ def save_lexicon(lexicon: TriggerLexicon, path):
 
 
 def load_dataset(path) -> list[LFKExample]:
-    examples = []
-    for lineno, rec in _jsonl_records(path):
-        try:
-            ex = LFKExample(
-                tokens=_list(rec, "tokens"),
-                anchor=int(rec["anchor"]),
-                keywords=tuple(_list(rec, "keywords")),
-                label=int(rec["label"]),
-                source_subtype=rec.get("source_subtype"),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}:{lineno}: bad example record ({e})") from e
-        try:
-            ex.validate()
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
-        examples.append(ex)
-    return examples
+    return [from_json(LFKExample, rec, path, "example", lineno)
+            for lineno, rec in _jsonl_records(path)]
 
 
 def save_dataset(examples: list[LFKExample], path, debug: bool = False):

@@ -105,6 +105,15 @@ def test_synth_config_file_and_flag_override(tmp_path):
     assert manifest["config"]["embed_dim"] == 8
 
 
+def test_invalid_config_json_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"seed": 1,\n')
+    rc = run_cli("synth", "--config", cfg, "--out-dir", tmp_path / "x")
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: invalid JSON (Expecting property name enclosed in double quotes)\n")
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"bogus_knob": 1}))
@@ -170,13 +179,20 @@ def test_gen_data_unknown_target_type(synth_dir, tmp_path):
     ("--typemap", '{"types": [', ":2: invalid JSON (Expecting value)"),
     ("--typemap", '{"types": ["a"], "subtype_of": {"s": "b"}}',
      ": subtype 's' maps to unknown type 'b'"),
+    ("--typemap", '{"types": ["a", "b"], "subtype_of": ["xa", "yb"]}',
+     ": 'subtype_of' must be an object, not a list"),
     ("--lexicon", '["a"]', ": lexicon must be a JSON object, not a list"),
     ("--lexicon", '{"a": "trig"}', ": 'a' must be a list, not a string"),
-    ("--lexicon", '{"a": [1]}', ": 'int' object has no attribute 'lower'"),
+    ("--lexicon", '{"a": [1]}', ": 'a'[0] must be a string, not an integer"),
     ("--corpus-test", '{"doc": "d", "tokens": "abc"}',
      ":1: bad sentence record ('tokens' must be a list, not a string)"),
-], ids=["typemap-without-types", "typemap-bad-json", "typemap-unknown-type", "lexicon-list",
-       "lexicon-string", "lexicon-number", "corpus-string"])
+    ("--corpus-test", '{"doc": 3, "tokens": ["a"]}',
+     ":1: bad sentence record ('doc' must be a string, not an integer)"),
+    ("--corpus-test", '{"doc": "d", "tokens": ["a"], "mentions": [{"anchor": 0.5, "subtype": 7}]}',
+     ":1: bad sentence record ('mentions'[0]['anchor'] must be an integer, not a float)"),
+], ids=["typemap-without-types", "typemap-bad-json", "typemap-unknown-type", "typemap-list",
+       "lexicon-list", "lexicon-string", "lexicon-number", "corpus-string", "corpus-doc-number",
+       "corpus-mention-numbers"])
 def test_gen_data_rejects_an_input_of_the_wrong_shape(
         synth_dir, tmp_path, capsys, flag, content, message):
     bad = tmp_path / "bad.json"
@@ -550,7 +566,20 @@ def test_eval_rejects_a_bad_dataset_record_with_its_location(
     (lambda doc: [doc], "checkpoint must be a JSON object, not a list"),
     (lambda doc: {k: v for k, v in doc.items() if k != "embeddings"},
      "checkpoint has no 'embeddings' entry"),
-], ids=["list", "no-embeddings"])
+    (lambda doc: doc | {"config": doc["config"] | {"bogus": 1}},
+     "'config' has unknown key 'bogus'"),
+    (lambda doc: doc | {"config": doc["config"] | {"windows": "23"}},
+     "'config'['windows'] must be a list, not a string"),
+    (lambda doc: doc | {"config": doc["config"] | {"filters": 4.0}},
+     "'config'['filters'] must be an integer, not a float"),
+    (lambda doc: doc | {"embeddings": {k: v for k, v in doc["embeddings"].items() if k != "dim"}},
+     "'embeddings' has no 'dim' entry"),
+    (lambda doc: doc | {"embeddings": doc["embeddings"] | {"dim": "50"}},
+     "'embeddings'['dim'] must be an integer, not a string"),
+    (lambda doc: doc | {"params": doc["params"] | {"pos.table": {"data": ""}}},
+     "'params'['pos.table'] has no 'shape' entry"),
+], ids=["list", "no-embeddings", "config-unknown-key", "windows-string", "filters-float",
+       "embeddings-without-dim", "dim-string", "param-without-shape"])
 def test_eval_rejects_a_checkpoint_of_the_wrong_shape(
         data_dir, run_dir, tmp_path, capsys, edit, message):
     bad = tmp_path / "bad.ckpt"

@@ -276,9 +276,18 @@ BAD_RECORDS = [
     ({"anchor": 3}, "anchor 3 outside 0..2"),
     ({"anchor": -1}, "anchor -1 outside 0..2"),
     ({"label": 2}, "label must be 0 or 1, got 2"),
-    ({"anchor": "x"}, "bad example record (invalid literal for int() with base 10: 'x')"),
+    ({"anchor": "x"}, "bad example record ('anchor' must be an integer, not a string)"),
     ({"tokens": "abc"}, "bad example record ('tokens' must be a list, not a string)"),
     ({"keywords": "k"}, "bad example record ('keywords' must be a list, not a string)"),
+    ({"label": 0.9}, "bad example record ('label' must be an integer, not a float)"),
+    ({"label": True}, "bad example record ('label' must be an integer, not a bool)"),
+    ({"anchor": "1"}, "bad example record ('anchor' must be an integer, not a string)"),
+    ({"keywords": {"k": 1}}, "bad example record ('keywords' must be a list, not an object)"),
+    ({"tokens": ["a", 5]}, "bad example record ('tokens'[1] must be a string, not an integer)"),
+    ({"keywords": ["k", 3]},
+     "bad example record ('keywords'[1] must be a string, not an integer)"),
+    ({"source_subtype": 4},
+     "bad example record ('source_subtype' must be a string or null, not an integer)"),
 ]
 
 

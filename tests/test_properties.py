@@ -1,11 +1,14 @@
 """Property tests: the packed forward against the per-example forward, the
 invariants of binary example generation, and file round trips."""
 
+import copy
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,3 +200,62 @@ def test_checkpoint_reloads_to_identical_logits_and_bytes(
         assert first.read_bytes() == second.read_bytes()
     np.testing.assert_array_equal(back.forward_batch(batch).data,
                                   model.forward_batch(batch).data)
+
+
+# --- a value of the wrong JSON kind is refused --------------------------------
+
+# The Python types json.load gives for the values each record key admits, and
+# for the elements of each list; stated here independently of the loaders.
+ADMITS = {"tokens": {list}, "anchor": {int}, "keywords": {list}, "label": {int},
+          "source_subtype": {str, type(None)}, "doc": {str}, "mentions": {list},
+          "subtype": {str}}
+ELEMENT = {"tokens": str, "keywords": str, "mentions": dict}
+JSON_VALUES = {int: st.integers(), float: st.floats(allow_nan=False, allow_infinity=False),
+               bool: st.booleans(), str: TEXT, list: st.lists(st.integers(), max_size=2),
+               dict: st.dictionaries(TEXT, st.integers(), max_size=2), type(None): st.none()}
+
+
+def _slots(rec):
+    """(keys, admitted types) of every value in a record, list elements and the
+    mentions' fields included."""
+    for key, value in rec.items():
+        yield (key,), ADMITS[key]
+        for i, x in enumerate(value if type(value) is list else []):
+            yield (key, i), {ELEMENT[key]}
+            for k in x if type(x) is dict else []:
+                yield (key, i, k), ADMITS[k]
+
+
+@st.composite
+def records_with_a_wrong_value(draw):
+    """(loader, a valid record, the record with one value of another kind, its name)"""
+    if draw(st.booleans()):
+        ex = draw(any_examples())
+        loader, good = load_dataset, {"tokens": ex.tokens, "anchor": ex.anchor,
+                                      "keywords": list(ex.keywords), "label": ex.label,
+                                      "source_subtype": ex.source_subtype}
+    else:
+        sent = draw(any_sentences())
+        loader, good = load_corpus, {"doc": draw(TEXT), "tokens": sent.tokens, "mentions": [
+            {"anchor": m.anchor, "subtype": m.subtype} for m in sent.mentions]}
+    keys, admitted = draw(st.sampled_from(list(_slots(good))))
+    bad = copy.deepcopy(good)
+    parent = bad
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = draw(st.sampled_from([t for t in JSON_VALUES if t not in admitted])
+                            .flatmap(JSON_VALUES.get))
+    return loader, good, bad, repr(keys[0]) + "".join(f"[{k!r}]" for k in keys[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=records_with_a_wrong_value(), line=st.integers(1, 3))
+def test_loaders_refuse_a_value_of_another_json_kind(case, line):
+    loader, good, bad, name = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "records.jsonl")
+        path.write_text("".join(json.dumps(r) + "\n" for r in [good] * (line - 1) + [bad]))
+        with pytest.raises(ValueError) as err:
+            loader(path)
+    assert str(err.value).startswith(f"{path}:{line}: bad ")
+    assert f"({name} must be " in str(err.value)
