@@ -59,10 +59,8 @@ class _BaselineCheckpoint(_Checkpoint):
 
 
 def _encode_array(arr: np.ndarray) -> dict:
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii"),
-    }
+    data = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+    return {"shape": list(arr.shape), "data": data}
 
 
 def _decode_array(entry: _Array) -> np.ndarray:
@@ -71,37 +69,27 @@ def _decode_array(entry: _Array) -> np.ndarray:
 
 
 def _emb_meta(emb: EmbeddingTable, emb_path) -> dict:
-    return {
-        "path": str(emb_path) if emb_path else None,
-        "sha256": sha256_file(emb_path) if emb_path else None,
-        "dim": emb.dim,
-        "oov_policy": emb.oov_policy,
-        "seed": emb.seed,
-    }
+    path, digest = (str(emb_path), sha256_file(emb_path)) if emb_path else (None, None)
+    return asdict(_EmbeddingRef(path, emb.dim, emb.oov_policy, emb.seed, digest))
 
 
 def save_checkpoint(model, path, emb_path=None):
     """Write a Model or LinearBaseline to disk."""
     if isinstance(model, Model):
-        doc = {
-            "format": FORMAT,
-            "kind": "cnn",
-            "config": asdict(model.config),
-            "embeddings": _emb_meta(model.emb, emb_path),
-            "params": {k: _encode_array(t.data) for k, t in model.named_params().items()},
-        }
-        if model.words is not None:
-            doc["word_vocab"] = model.words.tokens
+        kind, config = "cnn", asdict(model.config)
     elif isinstance(model, LinearBaseline):
-        doc = {
-            "format": FORMAT,
-            "kind": "baseline",
-            "config": {"dim": model.emb.dim},
-            "embeddings": _emb_meta(model.emb, emb_path),
-            "params": {k: _encode_array(t.data) for k, t in model.named_params().items()},
-        }
+        kind, config = "baseline", {"dim": model.emb.dim}
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
+    doc = {
+        "format": FORMAT,
+        "kind": kind,
+        "config": config,
+        "embeddings": _emb_meta(model.emb, emb_path),
+        "params": {k: _encode_array(t.data) for k, t in model.named_params().items()},
+    }
+    if kind == "cnn" and model.words is not None:
+        doc["word_vocab"] = model.words.tokens
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True, indent=1)
         f.write("\n")
@@ -112,15 +100,11 @@ def _resolve_embeddings(meta: _EmbeddingRef, emb: EmbeddingTable | None,
     if emb is None:
         path = emb_path or meta.path
         if not path:
-            raise ValueError(
-                "checkpoint stores no embedding path; pass the embedding table"
-            )
+            raise ValueError("checkpoint stores no embedding path; pass the embedding table")
         expected, actual = meta.sha256, sha256_file(path)
         if expected is not None and actual != expected:
-            raise ValueError(
-                f"embedding file {path} has sha256 {actual}, but the checkpoint "
-                f"was saved with an embedding file of sha256 {expected}"
-            )
+            raise ValueError(f"embedding file {path} has sha256 {actual}, but the checkpoint "
+                             f"was saved with an embedding file of sha256 {expected}")
         emb = load_embeddings(path, meta.dim, oov_policy=meta.oov_policy, seed=meta.seed)
     if emb.dim != meta.dim:
         raise ValueError(f"embedding dim {emb.dim} != checkpoint dim {meta.dim}")
@@ -134,17 +118,18 @@ def load_checkpoint(path, emb: EmbeddingTable | None = None, emb_path=None):
     doc = read_json_object(path, "checkpoint")
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not a checkpoint file (format {doc.get('format')!r})")
-    ck = from_json(_BaselineCheckpoint if doc.get("kind") == "baseline" else _Checkpoint,
-                   doc, path, "checkpoint")
+    kind = doc.get("kind", "cnn")       # the layout refuses a checkpoint without a kind
+    layout = {"cnn": _Checkpoint, "baseline": _BaselineCheckpoint}.get(kind)
+    if layout is None:
+        raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
+    ck = from_json(layout, doc, path, "checkpoint")
     emb = _resolve_embeddings(ck.embeddings, emb, emb_path)
 
-    if ck.kind == "cnn":
+    if kind == "cnn":
         words = WordTable(emb, ck.word_vocab) if ck.word_vocab is not None else None
         model = Model(ck.config, emb, words=words)
-    elif ck.kind == "baseline":
-        model = LinearBaseline(emb)
     else:
-        raise ValueError(f"{path}: unknown checkpoint kind {ck.kind!r}")
+        model = LinearBaseline(emb)
 
     named = model.named_params()
     saved = ck.params

@@ -13,12 +13,13 @@ its dataclass's fields and annotations.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
-import operator
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import UnionType
-from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 OTHER = "Other"
 
@@ -53,16 +54,11 @@ class Corpus:
     documents: list[Document] = field(default_factory=list)
 
     def sentences(self):
-        for doc in self.documents:
-            yield from doc.sentences
+        return (s for doc in self.documents for s in doc.sentences)
 
     def mention_count(self, predicate=None) -> int:
-        return sum(
-            1
-            for s in self.sentences()
-            for m in s.mentions
-            if predicate is None or predicate(m)
-        )
+        return sum(1 for s in self.sentences() for m in s.mentions
+                   if predicate is None or predicate(m))
 
     def validate(self):
         for doc in self.documents:
@@ -71,10 +67,8 @@ class Corpus:
                     raise ValueError(f"{doc.doc_id}[{i}]: empty token list")
                 for m in sent.mentions:
                     if not 0 <= m.anchor < len(sent.tokens):
-                        raise ValueError(
-                            f"{doc.doc_id}[{i}]: anchor {m.anchor} outside "
-                            f"0..{len(sent.tokens) - 1}"
-                        )
+                        raise ValueError(f"{doc.doc_id}[{i}]: anchor {m.anchor} outside "
+                                         f"0..{len(sent.tokens) - 1}")
 
 
 @dataclass
@@ -92,9 +86,8 @@ class TypeMap:
     def subtypes_of(self, type_name: str) -> set[str]:
         """All subtypes belonging to one event type."""
         if type_name not in self.types:
-            raise ValueError(
-                f"unknown target type {type_name!r}; valid types: {sorted(self.types)}"
-            )
+            raise ValueError(f"unknown target type {type_name!r}; "
+                             f"valid types: {sorted(self.types)}")
         return {s for s, t in self.subtype_of.items() if t == type_name}
 
 
@@ -140,13 +133,8 @@ class StatsReport:
 # holdout
 
 
-def holdout_split(
-    corpus_train: Corpus,
-    corpus_dev: Corpus,
-    corpus_test: Corpus,
-    target_type: str,
-    type_map: TypeMap,
-) -> tuple[Corpus, Corpus, Corpus]:
+def holdout_split(corpus_train: Corpus, corpus_dev: Corpus, corpus_test: Corpus,
+                  target_type: str, type_map: TypeMap) -> tuple[Corpus, Corpus, Corpus]:
     """Remove the target type from training and restrict dev/test to it.
 
     Training keeps mentions whose subtype is outside the target type's subtype
@@ -156,18 +144,8 @@ def holdout_split(
     target_subs = type_map.subtypes_of(target_type)
 
     def filtered(corpus: Corpus, keep) -> Corpus:
-        return Corpus(
-            [
-                Document(
-                    doc.doc_id,
-                    [
-                        Sentence(sent.tokens, [m for m in sent.mentions if keep(m)])
-                        for sent in doc.sentences
-                    ],
-                )
-                for doc in corpus.documents
-            ]
-        )
+        return Corpus([Document(d.doc_id, [Sentence(s.tokens, [m for m in s.mentions if keep(m)])
+                                           for s in d.sentences]) for d in corpus.documents])
 
     train = filtered(corpus_train, lambda m: m.subtype not in target_subs)
     keep_target = lambda m: m.subtype in target_subs or m.subtype == OTHER
@@ -196,18 +174,15 @@ def dataset_stats(examples: list[LFKExample]) -> StatsReport:
 def _jsonl_records(path):
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                yield lineno, json.loads(line)
+                if line.strip():
+                    yield lineno, json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
 
 
 def read_json_object(path, what: str) -> dict:
-    """The JSON object a file holds; `what` names the kind of file in the
-    error raised for any other JSON value."""
+    """The JSON object in a file; `what` names the file's kind in the error for another value."""
     with open(path, encoding="utf-8") as f:
         try:
             raw = json.load(f)
@@ -218,115 +193,88 @@ def read_json_object(path, what: str) -> dict:
     return raw
 
 
-class JsonKind(NamedTuple):
-    """The JSON values an annotation admits: `ok` tests a value, elements and
-    fields included, and `make` builds the annotated value from one it passes."""
-
-    want: str                           # "an integer", "a list", ...
-    types: frozenset                    # the types json.load gives such values
-    ok: Callable
-    of: JsonKind | dict | None = None   # element kind, or a record's field kinds
-    required: frozenset = frozenset()   # a record's fields that have no default
-    make: Callable | None = None        # None: the JSON value itself
-
-
-def _plain(want: str, *types) -> JsonKind:
-    types = frozenset(types)
-    return JsonKind(want, types, lambda v: type(v) in types)
-
-
-# An int is not a bool here: type(True) is bool.
-_PLAIN = {bool: _plain("true or false", bool), int: _plain("an integer", int),
-          float: _plain("a number", int, float), str: _plain("a string", str),
-          type(None): _plain("null", type(None))}
 # What a value json.load gave is called in a message.
 _NAMES = {bool: "a bool", int: "an integer", float: "a float", str: "a string",
           list: "a list", dict: "an object", type(None): "null"}
+# The plain kinds, and the types json.load gives their values: type(True) is bool, not int.
+_PLAIN = {bool: ("true or false", bool), int: ("an integer", int), float: ("a number", int, float),
+          str: ("a string", str), type(None): ("null", type(None))}
+# The JSON values an annotation admits: `want` names them; `check` gives None for one, else
+# the keys to the first part at fault and what is wrong with it, as (("tokens", 1), "must be
+# a string, not an integer"); `make` builds the annotated value (None: the value itself).
+JsonKind = namedtuple("JsonKind", "want check make", defaults=[None])
+
+
+def _wrong(want: str, value) -> tuple:
+    return (), f"must be {want}, not {_NAMES[type(value)]}"
 
 
 @functools.cache
 def json_kind(ann) -> JsonKind:
-    """The JSON kind of an annotation: bool; int, which is neither a bool nor a
-    float; float, any number; str; list[X] or tuple[X, ...]; dict[str, X]; a
-    union of these, such as X | None; or a dataclass, an object of its fields."""
+    """The JSON kind of an annotation: bool; int, neither a bool nor a float; float,
+    any number; str; list[X] or tuple[X, ...]; dict[str, X]; a union of kinds that
+    build nothing, as str | None; a dataclass, an object of exactly its fields."""
     if ann in _PLAIN:
-        return _PLAIN[ann]
+        want, *types = _PLAIN[ann]
+        return JsonKind(want, lambda v: None if type(v) in types else _wrong(want, v))
     origin, args = get_origin(ann), get_args(ann)
     if origin in (Union, UnionType):
         parts = [json_kind(a) for a in args]
-        return JsonKind(" or ".join(p.want for p in parts),
-                        frozenset().union(*(p.types for p in parts)),
-                        lambda v: any(p.ok(v) for p in parts),
-                        next((p.of for p in parts if p.of), None))
+        if any(p.make for p in parts):
+            raise TypeError(f"{ann}: a union of kinds that build a value is not supported")
+        want = " or ".join(p.want for p in parts)
+        def check(v):   # a problem inside the value, if a part took its type; else the union's
+            problems = [p.check(v) for p in parts]
+            if None not in problems:
+                return next((p for p in problems if p[0]), _wrong(want, v))
+        return JsonKind(want, check)
     if origin in (list, tuple, dict):   # tuple[X, ...]; a JSON object's keys are strings
         t, of = (dict, json_kind(args[1])) if origin is dict else (list, json_kind(args[0]))
-        if of.of is None:               # plain elements: a set of their types will do
-            ok = lambda v: (type(v) is t
-                            and {*map(type, v.values() if t is dict else v)} <= of.types)
-        else:
-            ok = lambda v: type(v) is t and all(map(of.ok, v.values() if t is dict else v))
-        if not of.make:
-            make = tuple if origin is tuple else None
-        elif t is dict:
-            make = lambda v: {k: of.make(x) for k, x in v.items()}
-        else:
-            make = lambda v: origin(map(of.make, v))
-        return JsonKind(_NAMES[t], frozenset({t}), ok, of, make=make)
-    hints, validate = get_type_hints(ann), getattr(ann, "validate", None)
-    kinds = {f.name: json_kind(hints[f.name]) for f in fields(ann)}
-    oks = {k: kind.ok for k, kind in kinds.items()}
+        def check(v):
+            if type(v) is not t:
+                return _wrong(_NAMES[t], v)
+            for k, x in v.items() if t is dict else enumerate(v):
+                if problem := of.check(x):
+                    return (k, *problem[0]), problem[1]
+        make = of.make and ((lambda v: {k: of.make(x) for k, x in v.items()}) if t is dict
+                            else lambda v: origin(map(of.make, v)))
+        return JsonKind(_NAMES[t], check, make or (tuple if origin is tuple else None))
+    kinds = {f.name: json_kind(get_type_hints(ann)[f.name]) for f in fields(ann)}
+    required = {f.name for f in fields(ann) if f.default is f.default_factory is MISSING}
     makers = {k: kind.make for k, kind in kinds.items() if kind.make}
-    required = frozenset(f.name for f in fields(ann)
-                         if f.default is MISSING and f.default_factory is MISSING)
+    validate = getattr(ann, "validate", lambda obj: None)
 
-    def ok(v):      # map() and operator.call keep a record's fields out of Python loops
-        return (type(v) is dict and required <= v.keys() <= oks.keys()
-                and all(map(operator.call, map(oks.__getitem__, v), v.values())))
+    def check(v):
+        if type(v) is not dict:
+            return _wrong("an object", v)
+        if missing := required - v.keys():
+            return (), f"has no {min(missing)!r} entry"
+        if unknown := v.keys() - kinds.keys():
+            return (), f"has unknown key {min(unknown)!r}"
+        for k, x in v.items():
+            if problem := kinds[k].check(x):
+                return (k, *problem[0]), problem[1]
 
     def make(v):
-        if makers:
-            v = dict(v)
-            for k, field_make in makers.items():
-                if k in v:
-                    v[k] = field_make(v[k])
-        obj = ann(**v)
-        if validate:
-            validate(obj)
+        obj = ann(**{k: makers[k](x) if k in makers else x for k, x in v.items()})
+        validate(obj)
         return obj
-    return JsonKind("an object", frozenset({dict}), ok, kinds, required, make)
-
-
-def _problem(kind: JsonKind, value, name: str, what: str) -> str:
-    """Why kind.ok refuses `value`. `name` is the value's place in its record,
-    as 'mentions'[0]; the record itself has none and is called `what`."""
-    subject, t = name or what, type(value)
-    if t not in kind.types:
-        return f"{subject} must be {kind.want}, not {_NAMES[t]}".lstrip()
-    record = kind.of if isinstance(kind.of, dict) else None
-    if record is not None and not kind.required <= value.keys() <= record.keys():
-        missing = sorted(kind.required - value.keys())
-        unknown = sorted(value.keys() - record.keys())
-        return (f"{subject} has no {missing[0]!r} entry" if missing
-                else f"{subject} has unknown key {unknown[0]!r}").lstrip()
-    for k, x in value.items() if t is dict else enumerate(value):
-        sub = kind.of if record is None else record[k]
-        if not sub.ok(x):
-            return _problem(sub, x, f"{name}[{k!r}]" if name or t is list else repr(k), what)
+    return JsonKind("an object", check, make)
 
 
 def from_json(ann, raw, where, what: str = "", line: int | None = None):
-    """The value of annotation `ann`, for a dataclass a validated instance, from
-    the JSON value `raw` read from `where`, a path: a `what` file, or the
-    `what` record on line `line` of a JSON-lines file. A value of another kind,
-    a missing field or an unknown key is refused as `where: <problem>`, or as
-    `where:line: bad <what> record (<problem>)`; an error of validate() as
-    `where[:line]: <error>`."""
+    """The value of annotation `ann` (a dataclass: a validated instance) from JSON
+    `raw`, read from `where` as a `what` file or its `what` record on line `line`.
+    A value of another kind, a missing field or an unknown key is refused as
+    `where: 'tokens'[1] must be ...`, or `where:line: bad <what> record (...)`."""
     kind = json_kind(ann)
     try:
-        if kind.ok(raw):
+        if not (problem := kind.check(raw)):
             return kind.make(raw) if kind.make else raw
-        problem = _problem(kind, raw, "", "" if line else what)
-        message = f"bad {what} record ({problem})" if line else problem
+        keys, wrong = problem
+        name = "".join(f"[{k!r}]" if i or type(k) is int else repr(k) for i, k in enumerate(keys))
+        message = f"{name or ('' if line else what)} {wrong}".lstrip()
+        message = f"bad {what} record ({message})" if line else message
     except ValueError as e:
         message = str(e)
     raise ValueError(f"{where}:{line}: {message}" if line else f"{where}: {message}")
@@ -347,19 +295,9 @@ def save_corpus(corpus: Corpus, path):
     with open(path, "w", encoding="utf-8") as f:
         for doc in corpus.documents:
             for sent in doc.sentences:
-                f.write(
-                    json.dumps(
-                        {
-                            "doc": doc.doc_id,
-                            "tokens": sent.tokens,
-                            "mentions": [
-                                {"anchor": m.anchor, "subtype": m.subtype}
-                                for m in sent.mentions
-                            ],
-                        }
-                    )
-                    + "\n"
-                )
+                mentions = [{"anchor": m.anchor, "subtype": m.subtype} for m in sent.mentions]
+                f.write(json.dumps({"doc": doc.doc_id, "tokens": sent.tokens,
+                                    "mentions": mentions}) + "\n")
 
 
 def load_typemap(path) -> TypeMap:
@@ -368,12 +306,8 @@ def load_typemap(path) -> TypeMap:
 
 def save_typemap(type_map: TypeMap, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(
-            {"types": type_map.types, "subtype_of": type_map.subtype_of},
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump({"types": type_map.types, "subtype_of": type_map.subtype_of}, f,
+                  indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -384,11 +318,8 @@ def load_lexicon(path) -> TriggerLexicon:
 
 def save_lexicon(lexicon: TriggerLexicon, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(
-            {sub: sorted(words) for sub, words in sorted(lexicon.triggers.items())},
-            f,
-            indent=2,
-        )
+        json.dump({sub: sorted(words) for sub, words in sorted(lexicon.triggers.items())}, f,
+                  indent=2)
         f.write("\n")
 
 
@@ -401,20 +332,14 @@ def save_dataset(examples: list[LFKExample], path, debug: bool = False):
     """Write examples as JSON-lines; keywords sorted for byte determinism."""
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
-            rec = {
-                "tokens": ex.tokens,
-                "anchor": ex.anchor,
-                "keywords": sorted(ex.keywords),
-                "label": ex.label,
-            }
+            rec = {"tokens": ex.tokens, "anchor": ex.anchor, "keywords": sorted(ex.keywords),
+                   "label": ex.label}
             if debug:
                 rec["source_subtype"] = ex.source_subtype
             f.write(json.dumps(rec) + "\n")
 
 
 def sha256_file(path) -> str:
-    import hashlib
-
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
@@ -423,6 +348,5 @@ def sha256_file(path) -> str:
 
 
 def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)

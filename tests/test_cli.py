@@ -578,8 +578,10 @@ def test_eval_rejects_a_bad_dataset_record_with_its_location(
      "'embeddings'['dim'] must be an integer, not a string"),
     (lambda doc: doc | {"params": doc["params"] | {"pos.table": {"data": ""}}},
      "'params'['pos.table'] has no 'shape' entry"),
+    (lambda doc: doc | {"kind": "foo", "config": {"dim": 50}}, "unknown checkpoint kind 'foo'"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "kind"}, "checkpoint has no 'kind' entry"),
 ], ids=["list", "no-embeddings", "config-unknown-key", "windows-string", "filters-float",
-       "embeddings-without-dim", "dim-string", "param-without-shape"])
+       "embeddings-without-dim", "dim-string", "param-without-shape", "unknown-kind", "no-kind"])
 def test_eval_rejects_a_checkpoint_of_the_wrong_shape(
         data_dir, run_dir, tmp_path, capsys, edit, message):
     bad = tmp_path / "bad.ckpt"

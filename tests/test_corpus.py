@@ -14,7 +14,9 @@ from lfked.corpus import (
     TriggerLexicon,
     TypeMap,
     dataset_stats,
+    from_json,
     holdout_split,
+    json_kind,
     lexicon_from_corpus,
     load_corpus,
     load_dataset,
@@ -289,6 +291,25 @@ BAD_RECORDS = [
     ({"source_subtype": 4},
      "bad example record ('source_subtype' must be a string or null, not an integer)"),
 ]
+
+
+@pytest.mark.parametrize("ann, value, message", [
+    (str | list[int], ["2", "3"], "[0] must be an integer, not a string"),
+    (str | list[int], 5, "must be a string or a list, not an integer"),
+    (list[str] | None, ["a", 5], "[1] must be a string, not an integer"),
+    (dict[str, int] | None, {"a": True}, "'a' must be an integer, not a bool"),
+])
+def test_a_refused_union_names_the_part_at_fault(ann, value, message):
+    with pytest.raises(ValueError) as err:
+        from_json(ann, value, "cfg.json: windows")
+    assert str(err.value) == f"cfg.json: windows: {message}"
+
+
+@pytest.mark.parametrize("ann", [tuple[str, ...] | None, EventMention | None,
+                                 list[EventMention] | None])
+def test_a_union_of_kinds_that_build_a_value_is_refused(ann):
+    with pytest.raises(TypeError):
+        json_kind(ann)
 
 
 def write_bad_dataset(path, overrides):
