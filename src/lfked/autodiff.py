@@ -8,7 +8,9 @@ evaluations and produce constants.
 Sequence ops work on a packed batch: the rows of several sentences stacked
 one after another, with `lengths` giving each sentence's row count (None: the
 whole input is one sentence). Per-sentence values, such as a CFA scale or an
-attention query, are (B, .) rows, one per sentence.
+attention query, are (B, .) rows, one per sentence. `conv1d_same` also
+takes a list of (filters, bias) pairs of several window sizes and runs them
+from one padded copy and one im2col matrix at the widest window.
 
 During the reverse replay the rules of `affine` and `conv1d_same` queue the
 factors of their weight's gradient on the weight instead of adding a
@@ -278,66 +280,88 @@ def linear_rows(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # sequence ops
 
 
-def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor, lengths=None) -> Tensor:
+def conv1d_same(seq: Tensor, filters, bias: Tensor | None = None, lengths=None) -> Tensor:
     """1-D convolution over the sequence axis with zero padding, length-preserving,
-    of every sentence packed in seq.
+    of every sentence packed in seq, for one or several window sizes.
 
-    seq (n, d_in), filters (w, d_in, f), bias (f,) -> (n, f). Each sentence is
-    padded on its own: w-1 zeros split as floor((w-1)/2) on the left and the
-    remainder on the right, so even windows take the extra pad position on the
-    right.
+    seq (n, d_in), filters (w, d_in, f), bias (f,) -> (n, f). For several
+    windows, `filters` is the list of their (filters, bias) pairs and bias is
+    None; window k's output is column block k of one (n, sum of f) matrix, in
+    the list's order. Each sentence is padded on its own: w-1 zeros split as
+    floor((w-1)/2) on the left and the remainder on the right, so even
+    windows take the extra pad position on the right.
     """
-    if seq.data.ndim != 2 or filters.data.ndim != 3 or bias.data.ndim != 1:
-        raise ShapeError(
-            f"conv1d_same expects (n,d), (w,d,f), (f,), got {seq.shape}, {filters.shape}, {bias.shape}"
-        )
+    pairs = [(filters, bias)] if isinstance(filters, Tensor) else list(filters)
+    if not pairs or (bias is not None and not isinstance(filters, Tensor)):
+        raise ValueError("conv1d_same takes filters and bias, or a list of (filters, bias) pairs")
+    for filt, b in pairs:
+        if seq.data.ndim != 2 or filt.data.ndim != 3 or b.data.ndim != 1:
+            raise ShapeError(
+                f"conv1d_same expects (n,d), (w,d,f), (f,), got {seq.shape}, {filt.shape}, {b.shape}"
+            )
+        if filt.data.shape[1] != seq.data.shape[1] or b.data.shape[0] != filt.data.shape[2]:
+            raise ShapeError(
+                f"conv1d_same shapes disagree: seq {seq.shape}, filters {filt.shape}, bias {b.shape}"
+            )
     n, d_in = seq.data.shape
-    w, d_f, f = filters.data.shape
-    if d_f != d_in or bias.data.shape[0] != f:
-        raise ShapeError(
-            f"conv1d_same shapes disagree: seq {seq.shape}, filters {filters.shape}, bias {bias.shape}"
-        )
-    if n < 1 or w < 1:
+    W = max(filt.data.shape[0] for filt, _ in pairs)
+    if n < 1 or min(filt.data.shape[0] for filt, _ in pairs) < 1:
         raise ValueError("conv1d_same needs n >= 1 and window >= 1")
     lengths, _ = _segments(lengths, n)
 
-    # Layout: `left` zero rows, then each sentence followed by `right` zero
-    # rows, so a window reads its own sentence's rows and zeros only. The
-    # window of row r of seq starts at padded row start[r], and row r sits
-    # `left` rows further down. Without gaps (one sentence) start is a slice,
-    # which makes training steps about 2% faster than the index array.
-    left, right = (w - 1) // 2, w // 2
+    # One layout for every window, at the widest window W: `left` zero rows,
+    # then each sentence followed by `right` zero rows, so a window reads its
+    # own sentence's rows and zeros only. The W-wide window of row r of seq
+    # starts at padded row start[r], and row r sits `left` rows further down;
+    # window w starts (W-1)//2 - (w-1)//2 rows into it, so it reads that many
+    # taps into the W-tap im2col row. Without gaps (one sentence) start is a
+    # slice, which makes training steps about 2% faster than the index array.
+    left, right = (W - 1) // 2, W // 2
     gapped = len(lengths) > 1
     if gapped:
         start = np.arange(n) + right * np.repeat(np.arange(len(lengths)), lengths)
     else:
         start = slice(0, n)
-    padded = np.zeros((n + w - 1 + right * (len(lengths) - 1), d_in))
+    padded = np.zeros((n + W - 1 + right * (len(lengths) - 1), d_in))
     padded[left:][start] = seq.data
-    windows = np.arange(len(padded) - (w - 1))[start]
-    col = padded[windows[:, None] + np.arange(w)].reshape(n, w * d_in)
-    w_mat = filters.data.reshape(w * d_in, f)
-    out, tape = _out(col @ w_mat + bias.data, seq, filters, bias)
+    windows = np.arange(len(padded) - (W - 1))[start]
+    col = padded[windows[:, None] + np.arange(W)].reshape(n, W * d_in)
+    # per window: its im2col columns, the padded rows its windows read, its
+    # output columns, and its filters as a (w*d_in, f) matrix
+    blocks, stop = [], 0
+    for filt, _ in pairs:
+        w, _, f = filt.data.shape
+        off = left - (w - 1) // 2
+        blocks.append((slice(off * d_in, (off + w) * d_in), slice(off, off + len(padded) - (W - w)),
+                       slice(stop, stop + f), filt.data.reshape(w * d_in, f)))
+        stop += f
+    data = np.empty((n, stop))
+    for (taps, _, cols, w_mat), (_, b) in zip(blocks, pairs):
+        data[:, cols] = col[:, taps] @ w_mat + b.data
+    out, tape = _out(data, seq, *(t for pair in pairs for t in pair))
     if tape is not None:
-        def rule(out=out, seq=seq, filters=filters, bias=bias,
-                 padded=padded, start=start, gapped=gapped, w_mat=w_mat, left=left, w=w,
-                 d_in=d_in):
+        def rule(out=out, seq=seq, pairs=pairs, blocks=blocks, padded=padded, start=start,
+                 gapped=gapped, left=left, W=W, d_in=d_in):
             g = out.grad
-            if bias.requires_grad:
-                bias.grad += g.sum(axis=0)
             # output gradients by window start row; zero where no window starts
             g_at = g
             if gapped:
-                g_at = np.zeros((padded.shape[0] - (w - 1), g.shape[1]))
+                g_at = np.zeros((padded.shape[0] - (W - 1), g.shape[1]))
                 g_at[start] = g
-            if filters.requires_grad:
-                _defer(_conv_filters_grad, filters, (padded, g_at))
-            if seq.requires_grad:
-                dcol = (g_at @ w_mat.T).reshape(len(g_at), w, d_in)
+            dcol = np.zeros((len(g_at), W * d_in)) if seq.requires_grad else None
+            for (taps, rows, cols, w_mat), (filt, b) in zip(blocks, pairs):
+                if b.requires_grad:
+                    b.grad += g[:, cols].sum(axis=0)
+                if filt.requires_grad:
+                    _defer(_conv_filters_grad, filt, (padded[rows], g_at[:, cols]))
+                if dcol is not None:
+                    dcol[:, taps] += g_at[:, cols] @ w_mat.T
+            if dcol is not None:
+                dcol = dcol.reshape(len(g_at), W, d_in)
                 dpad = np.zeros(padded.shape)
                 # Descending taps add to each row in np.add.at's order, so
                 # the sum is bitwise the same.
-                for j in range(w - 1, -1, -1):
+                for j in range(W - 1, -1, -1):
                     dpad[j:j + len(g_at)] += dcol[:, j]
                 seq.grad += dpad[left:][start]
         tape._record(rule)

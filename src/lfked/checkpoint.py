@@ -21,7 +21,7 @@ import numpy as np
 
 from .baseline import LinearBaseline
 from .corpus import from_json, read_json_object, sha256_file
-from .encoding import EmbeddingTable, WordTable, load_embeddings
+from .encoding import OOV_POLICIES, EmbeddingTable, WordTable, load_embeddings
 from .models import Model, ModelConfig
 
 FORMAT = "lfked-checkpoint-v1"
@@ -41,6 +41,10 @@ class _EmbeddingRef:
     oov_policy: str
     seed: int
     sha256: str | None = None       # absent from checkpoints saved before digests
+
+    def validate(self):
+        if self.oov_policy not in OOV_POLICIES:
+            raise ValueError(f"oov_policy must be one of {OOV_POLICIES}, got {self.oov_policy!r}")
 
 
 @dataclass
@@ -95,12 +99,13 @@ def save_checkpoint(model, path, emb_path=None):
         f.write("\n")
 
 
-def _resolve_embeddings(meta: _EmbeddingRef, emb: EmbeddingTable | None,
+def _resolve_embeddings(ck_path, meta: _EmbeddingRef, emb: EmbeddingTable | None,
                         emb_path=None) -> EmbeddingTable:
     if emb is None:
         path = emb_path or meta.path
         if not path:
-            raise ValueError("checkpoint stores no embedding path; pass the embedding table")
+            raise ValueError(f"{ck_path}: checkpoint stores no embedding path; "
+                             "pass the embedding table")
         expected, actual = meta.sha256, sha256_file(path)
         if expected is not None and actual != expected:
             raise ValueError(f"embedding file {path} has sha256 {actual}, but the checkpoint "
@@ -123,7 +128,7 @@ def load_checkpoint(path, emb: EmbeddingTable | None = None, emb_path=None):
     if layout is None:
         raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
     ck = from_json(layout, doc, path, "checkpoint")
-    emb = _resolve_embeddings(ck.embeddings, emb, emb_path)
+    emb = _resolve_embeddings(path, ck.embeddings, emb, emb_path)
 
     if kind == "cnn":
         words = WordTable(emb, ck.word_vocab) if ck.word_vocab is not None else None
@@ -137,7 +142,10 @@ def load_checkpoint(path, emb: EmbeddingTable | None = None, emb_path=None):
         missing = set(named) ^ set(saved)
         raise ValueError(f"{path}: parameter names disagree with config: {sorted(missing)}")
     for name, tensor in named.items():
-        arr = _decode_array(saved[name])
+        try:
+            arr = _decode_array(saved[name])
+        except ValueError as e:     # bad base64, or data that does not fill its shape
+            raise ValueError(f"{path}: {name}: {e}") from e
         if arr.shape != tensor.data.shape:
             raise ValueError(
                 f"{path}: {name} has shape {arr.shape}, config wants {tensor.data.shape}"

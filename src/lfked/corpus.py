@@ -287,7 +287,10 @@ def load_corpus(path) -> Corpus:
         docs.setdefault(line.doc, Document(line.doc)).sentences.append(
             Sentence(line.tokens, line.mentions))
     corpus = Corpus(list(docs.values()))
-    corpus.validate()
+    try:
+        corpus.validate()
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
     return corpus
 
 

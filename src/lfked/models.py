@@ -13,12 +13,14 @@ two logits. Variant names: concat, attention, concat-cfa, attention-cfa.
 
 `Model.forward_batch` is the one forward: it packs the sentences of a batch
 row after row into one matrix and passes their lengths to every layer, so a
-layer is a few matrix products per batch (each convolution still pads every
-sentence on its own), and per-sentence vectors (V_K, the CFA scale and
-shift, the attention query) are (B, .) rows. On the tape it is what
-training runs, one example at a time through `Model.forward`; without a
-tape, `Model.predict_batch` runs it over chunks of up to SCORE_TOKENS
-tokens.
+layer is a few matrix products per batch, and per-sentence vectors (V_K, the
+CFA scale and shift, the attention query) are (B, .) rows. A CNN layer is one
+convolution op for all its window sizes: one padded copy of the batch (each
+sentence padded on its own) and one im2col matrix at the widest window, with
+one product per window into its own column block of the layer's output. On
+the tape it is what training runs, one example at a time through
+`Model.forward`; without a tape, `Model.predict_batch` runs it over chunks of
+up to SCORE_TOKENS tokens.
 
 Every parameter is initialized uniformly in [-0.1, 0.1] from a stream keyed
 by (seed, "init", parameter name), so two configs sharing a seed assign
@@ -54,8 +56,10 @@ ACTIVATIONS = {
 HEADS = ("concat", "attention")
 
 # Tokens per chunk of predict_batch; a longer sentence is a chunk of its own.
-# With one BLAS thread on a 2-core machine, 512 scored the three benchmark
-# score sets fastest; 256 was 3-5% slower, 1024 up to 15% and 2048 up to 29%.
+# With one BLAS thread on a 2-core machine and one convolution per CNN layer,
+# medians of 7 scorings of the three benchmark score sets at 256 / 512 / 1024:
+# 60.7 / 52.9 / 62.1 ms (short), 169 / 159 / 157 ms (mixed) and
+# 3.70 / 3.45 / 3.35 s (bulk). 1024 is not faster on all three, so 512 stays.
 SCORE_TOKENS = 512
 
 VARIANTS = {
@@ -178,11 +182,10 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
 
 
 def cnn_layer(h_prev: Tensor, lengths, window_params, act) -> Tensor:
-    """Length-preserving conv block over packed sentences: per window size,
-    conv then nonlinearity; outputs concatenated feature-wise in the given
-    window order."""
-    outs = [act(ad.conv1d_same(h_prev, filt, bias, lengths)) for filt, bias in window_params]
-    return ad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
+    """Length-preserving conv block over packed sentences: one convolution
+    for all window sizes, their features side by side in the given window
+    order, then the nonlinearity."""
+    return act(ad.conv1d_same(h_prev, window_params, lengths=lengths))
 
 
 def cfa_condition(h: Tensor, lengths, v_k: Tensor, gamma_w, gamma_b, beta_w, beta_b,

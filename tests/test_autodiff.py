@@ -188,6 +188,45 @@ def test_conv_backward_repeated_filters_sum_over_calls():
     assert max_rel_error(tf.grad, numeric) < 1e-6
 
 
+@pytest.mark.parametrize("windows", [(1, 2, 3, 4, 5), (5, 2, 4)])
+def test_conv_window_list_equals_each_window_then_concat(windows):
+    # The list form runs every window from one im2col at the widest window;
+    # it must give each window's own convolution, side by side in list order.
+    lengths = [4, 1, 6, 2, 5, 3]
+    rng = np.random.default_rng(sum(windows))
+    d, f = 3, 2
+    seq = rng.uniform(-2, 2, (sum(lengths), d))
+    params = [(rng.uniform(-2, 2, (w, d, f)), rng.uniform(-2, 2, f)) for w in windows]
+    probe = Tensor(rng.uniform(-2, 2, (sum(lengths), f * len(windows))))
+
+    def run(fused):
+        tseq = Tensor(seq, requires_grad=True)
+        pairs = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+                 for w, b in params]
+        with Tape() as tape:
+            if fused:
+                out = ad.conv1d_same(tseq, pairs, lengths=lengths)
+            else:
+                out = ad.concat([ad.conv1d_same(tseq, w, b, lengths) for w, b in pairs], axis=1)
+            loss = ad.mean(ad.mul(ad.tanh(out), probe))
+        tape.backward(loss)
+        return out.data, [tseq.grad] + [t.grad for pair in pairs for t in pair]
+
+    got, got_grads = run(fused=True)
+    want, want_grads = run(fused=False)
+    np.testing.assert_array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_conv_window_list_takes_no_separate_bias():
+    pair = (Tensor(np.ones((2, 3, 1))), Tensor(np.zeros(1)))
+    with pytest.raises(ValueError, match="list of"):
+        ad.conv1d_same(Tensor(np.ones((4, 3))), [pair], Tensor(np.zeros(1)))
+    with pytest.raises(ValueError, match="list of"):
+        ad.conv1d_same(Tensor(np.ones((4, 3))), [])
+
+
 @pytest.mark.parametrize("op", ["affine", "conv1d_same"])
 def test_non_leaf_weight_gradient(op):
     # A weight computed by another op is not a leaf: its gradient must be
@@ -532,6 +571,10 @@ PACKED_OPS = {
     "conv1d_same_w1": (ad.conv1d_same, [(N_ROWS, 3), (1, 3, 2), (2,)], [True, None, None]),
     "conv1d_same_w4": (ad.conv1d_same, [(N_ROWS, 3), (4, 3, 2), (2,)], [True, None, None]),
     "conv1d_same_w5": (ad.conv1d_same, [(N_ROWS, 3), (5, 3, 2), (2,)], [True, None, None]),
+    "conv1d_same_w4_w3": (
+        lambda seq, f4, b4, f3, b3, lengths=None:
+            ad.conv1d_same(seq, [(f4, b4), (f3, b3)], lengths=lengths),
+        [(N_ROWS, 3), (4, 3, 2), (2,), (3, 3, 4), (4,)], [True, None, None, None, None]),
     "maxpool_time": (ad.maxpool_time, [(N_ROWS, 3)], [True]),
     "softmax": (ad.softmax, [(N_ROWS,)], [True]),
     "scale_shift_rows": (ad.scale_shift_rows, [(N_ROWS, 3), (4, 3), (4, 3)],

@@ -190,9 +190,12 @@ def test_gen_data_unknown_target_type(synth_dir, tmp_path):
      ":1: bad sentence record ('doc' must be a string, not an integer)"),
     ("--corpus-test", '{"doc": "d", "tokens": ["a"], "mentions": [{"anchor": 0.5, "subtype": 7}]}',
      ":1: bad sentence record ('mentions'[0]['anchor'] must be an integer, not a float)"),
+    ("--corpus-train", '{"doc": "d", "tokens": ["a"], "mentions": [{"anchor": 4, "subtype": "s"}]}',
+     ": d[0]: anchor 4 outside 0..0"),
+    ("--corpus-train", '{"doc": "d", "tokens": []}', ": d[0]: empty token list"),
 ], ids=["typemap-without-types", "typemap-bad-json", "typemap-unknown-type", "typemap-list",
        "lexicon-list", "lexicon-string", "lexicon-number", "corpus-string", "corpus-doc-number",
-       "corpus-mention-numbers"])
+       "corpus-mention-numbers", "corpus-anchor-outside", "corpus-no-tokens"])
 def test_gen_data_rejects_an_input_of_the_wrong_shape(
         synth_dir, tmp_path, capsys, flag, content, message):
     bad = tmp_path / "bad.json"
@@ -580,8 +583,16 @@ def test_eval_rejects_a_bad_dataset_record_with_its_location(
      "'params'['pos.table'] has no 'shape' entry"),
     (lambda doc: doc | {"kind": "foo", "config": {"dim": 50}}, "unknown checkpoint kind 'foo'"),
     (lambda doc: {k: v for k, v in doc.items() if k != "kind"}, "checkpoint has no 'kind' entry"),
+    (lambda doc: doc | {"params": doc["params"] | {
+        "ffn.out.b": doc["params"]["ffn.out.b"] | {"shape": [2, 2]}}},
+     "ffn.out.b: cannot reshape array of size 2 into shape (2,2)"),
+    (lambda doc: doc | {"embeddings": doc["embeddings"] | {"oov_policy": "bogus"}},
+     "oov_policy must be one of ('random-fixed', 'zero'), got 'bogus'"),
+    (lambda doc: doc | {"embeddings": doc["embeddings"] | {"path": None}},
+     "checkpoint stores no embedding path; pass the embedding table"),
 ], ids=["list", "no-embeddings", "config-unknown-key", "windows-string", "filters-float",
-       "embeddings-without-dim", "dim-string", "param-without-shape", "unknown-kind", "no-kind"])
+       "embeddings-without-dim", "dim-string", "param-without-shape", "unknown-kind", "no-kind",
+       "data-not-fitting-shape", "unknown-oov-policy", "no-embedding-path"])
 def test_eval_rejects_a_checkpoint_of_the_wrong_shape(
         data_dir, run_dir, tmp_path, capsys, edit, message):
     bad = tmp_path / "bad.ckpt"
