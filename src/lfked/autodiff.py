@@ -379,7 +379,11 @@ def maxpool_time(seq: Tensor, lengths=None) -> Tensor:
     if n < 1:
         raise ValueError("maxpool_time needs a non-empty sequence")
     lengths, starts = _segments(lengths, n)
-    out, tape = _out(_reduce(np.maximum, seq.data, starts), seq)
+    # one max per sentence: on 512-token chunks of 8-56 sentences, 400 wide,
+    # np.maximum.reduceat over axis 0 took 3-4x as long as this loop
+    pooled = np.stack([seq.data[s:s + k].max(axis=0)
+                       for s, k in zip(starts.tolist(), lengths.tolist())])
+    out, tape = _out(pooled, seq)
     if tape is not None:
         def rule(out=out, seq=seq, lengths=lengths, starts=starts):
             # a row not below the max (NaN compares False) is a candidate

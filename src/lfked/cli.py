@@ -18,6 +18,7 @@ failure during training.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import shutil
 import sys
@@ -53,6 +54,12 @@ from .training import NumericError, TrainConfig, train
 
 BASELINE = "word2vec-baseline"
 MODEL_CHOICES = sorted(VARIANTS) + [BASELINE]
+
+# glibc mallopt parameters, and the values main sets: arrays up to 32 MB come
+# from the heap, and up to 64 MB of freed heap stays in the process. These are
+# the caps glibc's own adaptive thresholds move towards.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_BYTES, TRIM_BYTES = 32 << 20, 64 << 20
 
 # Default of a setting that must come from a flag or the config file: argparse
 # then leaves it out of the namespace.
@@ -369,7 +376,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def keep_freed_memory():
+    """Have glibc's malloc keep freed arrays' memory in the process.
+
+    With its adaptive thresholds, the heap memory a dev evaluation frees is
+    handed back to the kernel during the training steps that follow, so every
+    evaluation inside training touched fresh pages again: on the quickstart
+    data about 3,300 minor page faults (13 MB) per evaluation, and it scored
+    13-29% fewer examples per second than the same model scoring back to back.
+    A C library without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_BYTES)
+
+
 def main(argv=None) -> int:
+    keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,7 @@
 """End-to-end checks of the lfked command line: subcommand round trips,
 config-file merging, exit codes, and byte-stable reruns."""
 
+import ctypes
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from lfked.checkpoint import load_checkpoint, save_checkpoint
-from lfked.cli import main
+from lfked.cli import keep_freed_memory, main
 from lfked.corpus import load_dataset, sha256_file
 
 
@@ -655,3 +656,18 @@ def test_invalid_model_choice_is_usage_error(data_dir, tmp_path):
         run_cli("train", "--model", "transformer", "--data-dir", data_dir,
                 "--out", tmp_path / "x")
     assert exc.value.code == 2
+
+
+def test_freed_arrays_keep_their_pages():
+    # glibc only: a freed 8 MB array's memory serves the next one without
+    # fresh page faults (it was unmapped or trimmed before keep_freed_memory)
+    resource = pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("C library has no mallopt")
+    keep_freed_memory()
+    a = np.ones(1 << 20)
+    del a
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    b = np.ones(1 << 20)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults < 64
+    assert b.sum() == 1 << 20
