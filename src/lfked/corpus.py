@@ -35,6 +35,13 @@ class Sentence:
     tokens: list[str]
     mentions: list[EventMention] = field(default_factory=list)
 
+    def validate(self):
+        if not self.tokens:
+            raise ValueError("empty token list")
+        for m in self.mentions:
+            if not 0 <= m.anchor < len(self.tokens):
+                raise ValueError(f"anchor {m.anchor} outside 0..{len(self.tokens) - 1}")
+
 
 @dataclass(kw_only=True)
 class _CorpusLine(Sentence):
@@ -63,12 +70,10 @@ class Corpus:
     def validate(self):
         for doc in self.documents:
             for i, sent in enumerate(doc.sentences):
-                if not sent.tokens:
-                    raise ValueError(f"{doc.doc_id}[{i}]: empty token list")
-                for m in sent.mentions:
-                    if not 0 <= m.anchor < len(sent.tokens):
-                        raise ValueError(f"{doc.doc_id}[{i}]: anchor {m.anchor} outside "
-                                         f"0..{len(sent.tokens) - 1}")
+                try:
+                    sent.validate()
+                except ValueError as e:
+                    raise ValueError(f"{doc.doc_id}[{i}]: {e}") from e
 
 
 @dataclass
@@ -286,12 +291,7 @@ def load_corpus(path) -> Corpus:
         line = from_json(_CorpusLine, rec, path, "sentence", lineno)
         docs.setdefault(line.doc, Document(line.doc)).sentences.append(
             Sentence(line.tokens, line.mentions))
-    corpus = Corpus(list(docs.values()))
-    try:
-        corpus.validate()
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
-    return corpus
+    return Corpus(list(docs.values()))
 
 
 def save_corpus(corpus: Corpus, path):

@@ -187,18 +187,34 @@ def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Te
     return Tensor(emb.rows(tokens)) if words is None else words.rows(tokens)
 
 
+def _offsets(n: int, lengths, anchors) -> np.ndarray:
+    """Each of n packed tokens' offset to its sentence's anchor."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    anchors = np.asarray(anchors, dtype=np.intp)
+    check_anchors(anchors, lengths)
+    return np.arange(n) - np.repeat(np.cumsum(lengths) - lengths + anchors, lengths)
+
+
 def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
            words: WordTable | None = None) -> Tensor:
     """The (len(tokens), pos.dim + emb.dim) input rows of sentences packed one
     after another: `tokens` holds every sentence's tokens in order, `lengths`
     their counts and `anchors` one index into each sentence."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    anchors = np.asarray(anchors, dtype=np.intp)
-    check_anchors(anchors, lengths)
-    offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths + anchors,
-                                                 lengths)
-    pos_rows = take_rows(pos.table, pos.row_indices(offsets))
+    pos_rows = take_rows(pos.table, pos.row_indices(_offsets(len(tokens), lengths, anchors)))
     return concat([pos_rows, word_rows(tokens, emb, words)], axis=1)
+
+
+def distinct_lookups(tokens, lengths, anchors, pos: PositionTable):
+    """encode's two lookups by distinct value: the position table rows and the
+    tokens that occur, and per token the index of its own among each.
+
+    take_rows(pos.table, rows)[pos_index] is encode's position block, and
+    word_rows(distinct, ...)[word_index] its word block."""
+    rows, pos_index = np.unique(pos.row_indices(_offsets(len(tokens), lengths, anchors)),
+                                return_inverse=True)
+    first: dict[str, int] = {}
+    word_index = np.array([first.setdefault(t, len(first)) for t in tokens], dtype=np.intp)
+    return rows, pos_index, list(first), word_index
 
 
 def keyword_repr(keyword_sets, emb: EmbeddingTable,

@@ -17,10 +17,13 @@ layer is a few matrix products per batch, and per-sentence vectors (V_K, the
 CFA scale and shift, the attention query) are (B, .) rows. A CNN layer is one
 convolution op for all its window sizes: one padded copy of the batch (each
 sentence padded on its own) and one im2col matrix at the widest window, with
-one product per window into its own column block of the layer's output. On
-the tape it is what training runs, one example at a time through
-`Model.forward`; without a tape, `Model.predict_batch` runs it over chunks of
-up to SCORE_TOKENS tokens.
+one product per window into its own column block of the layer's output. The
+first layer reads position and word lookups; when a batch's distinct
+position rows and words are few against its tokens (TABLE_SHARE), as in a
+scoring chunk, it runs from them instead (conv1d_tables), which agrees to
+rounding. On the tape the forward is what training runs, one example at a
+time through `Model.forward`; without a tape, `Model.predict_batch` runs it
+over chunks of up to SCORE_TOKENS tokens.
 
 Every parameter is initialized uniformly in [-0.1, 0.1] from a stream keyed
 by (seed, "init", parameter name), so two configs sharing a seed assign
@@ -40,8 +43,10 @@ from .encoding import (
     PositionTable,
     WordTable,
     check_anchors,
+    distinct_lookups,
     encode,
     keyword_repr,
+    word_rows,
 )
 from .metrics import predicted_labels
 from .seeding import rng_for
@@ -56,11 +61,25 @@ ACTIVATIONS = {
 HEADS = ("concat", "attention")
 
 # Tokens per chunk of predict_batch; a longer sentence is a chunk of its own.
-# With one BLAS thread on a 2-core machine and one convolution per CNN layer,
-# medians of 7 scorings of the three benchmark score sets at 256 / 512 / 1024:
-# 60.7 / 52.9 / 62.1 ms (short), 169 / 159 / 157 ms (mixed) and
-# 3.70 / 3.45 / 3.35 s (bulk). 1024 is not faster on all three, so 512 stays.
+# With one BLAS thread on a 2-core machine and layer 1 from tables, medians
+# of two sets of 9 and 11 alternating scorings of the three benchmark score
+# sets at 512 / 1024 / 2048: 41.3 / 39.7 / 40.9 and 31.0 / 32.2 / 34.4 ms
+# (short), 121 / 115 / 129 and 96 / 100 / 113 ms (mixed), 1.95 / 1.76 / 1.93
+# and 1.80 / 1.63 / 1.93 s (bulk). 1024 is not faster on all three, and it
+# raised the peak RSS of scoring the mixed set from 54 to 61 MB, so 512 stays.
 SCORE_TOKENS = 512
+
+# Layer 1 runs from tables of the batch's distinct position rows and words
+# (conv1d_tables) when they are at most this share of its 2n lookups, a
+# position and a word per token, and from the encoded rows (conv1d_same)
+# otherwise. Layer-1 time of tables over rows, on 529 chunks of 1-512 tokens
+# of the bulk and short score sets (one BLAS thread, 2-core machine), by
+# share: 0.39 below 0.1, 0.64 at 0.2-0.25, 0.82 at 0.35-0.4, 0.98 at
+# 0.4-0.45, 1.02 at 0.45-0.5 and 1.59 above 0.8 without a tape, where
+# scoring runs; with one, forward and backward, 0.49, 0.76, 1.03, 1.11, 1.21
+# and 1.40. The benchmark's scoring chunks are 0.09-0.11 in the median, and
+# none of its training examples is below 0.47.
+TABLE_SHARE = 0.4
 
 VARIANTS = {
     "concat": ("concat", False),
@@ -181,11 +200,14 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
 # building blocks
 
 
-def cnn_layer(h_prev: Tensor, lengths, window_params, act) -> Tensor:
+def cnn_layer(h_prev, lengths, window_params, act) -> Tensor:
     """Length-preserving conv block over packed sentences: one convolution
     for all window sizes, their features side by side in the given window
-    order, then the nonlinearity."""
-    return act(ad.conv1d_same(h_prev, window_params, lengths=lengths))
+    order, then the nonlinearity. h_prev is the (n, d) input, or the list of
+    (table, index) lookups whose rows side by side make it (conv1d_tables)."""
+    if isinstance(h_prev, Tensor):
+        return act(ad.conv1d_same(h_prev, window_params, lengths=lengths))
+    return act(ad.conv1d_tables(h_prev, window_params, lengths=lengths))
 
 
 def cfa_condition(h: Tensor, lengths, v_k: Tensor, gamma_w, gamma_b, beta_w, beta_b,
@@ -248,6 +270,22 @@ class Model:
         return [(p[f"conv{i}.w{w}.filters"], p[f"conv{i}.w{w}.bias"])
                 for w in self.config.windows]
 
+    def _distinct_lookups(self, tokens, lengths, anchors):
+        """Layer 1's input as lookups of the batch's distinct position rows and
+        words (see conv1d_tables), if those are at most TABLE_SHARE of its 2n
+        lookups; else None. A sentence of L tokens has at least
+        min(L, max_offset + 1) distinct position rows, which rules out a short
+        sentence alone without counting."""
+        budget = TABLE_SHARE * 2 * len(tokens)
+        if min(lengths.max(), self.config.max_offset + 1) + 1 > budget:
+            return None
+        rows, pos_index, distinct, word_index = distinct_lookups(tokens, lengths, anchors,
+                                                                 self.pos)
+        if len(rows) + len(distinct) > budget:
+            return None
+        return [(ad.take_rows(self.pos.table, rows), pos_index),
+                (word_rows(distinct, self.emb, self.words), word_index)]
+
     def forward_batch(self, examples, train: bool = False, rng=None,
                       aux: dict | None = None) -> Tensor:
         """(len(examples), 2) logits. The sentences are packed row after row
@@ -258,8 +296,10 @@ class Model:
         conv_act = ACTIVATIONS[cfg.conv_act]
         lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
         anchors = np.array([ex.anchor for ex in examples], dtype=np.intp)
-        h = encode([t for ex in examples for t in ex.tokens], lengths, anchors,
-                   self.emb, self.pos, self.words)
+        tokens = [t for ex in examples for t in ex.tokens]
+        h = self._distinct_lookups(tokens, lengths, anchors)
+        if h is None:
+            h = encode(tokens, lengths, anchors, self.emb, self.pos, self.words)
         v_k = keyword_repr([ex.keywords for ex in examples], self.emb, self.words)
 
         cfa_at = set(cfg.cfa_layers())

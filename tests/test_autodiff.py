@@ -5,6 +5,8 @@ import pytest
 
 from lfked import autodiff as ad
 from lfked.autodiff import Tape, Tensor
+from lfked.encoding import (EmbeddingTable, PositionTable, WordTable, distinct_lookups, encode,
+                            word_rows)
 
 from fd import central_diff, max_rel_error
 
@@ -322,6 +324,95 @@ def test_assigning_grad_discards_queued_factors():
     tw.grad = np.ones(weight.shape)
     np.testing.assert_array_equal(tf.grad, np.ones(filters.shape))
     np.testing.assert_array_equal(tw.grad, np.ones(weight.shape))
+
+
+# ---------------------------------------------------------------------------
+# conv1d_tables
+
+
+def _table_inputs(seed):
+    """Sentences of 1, 2, 9, 30 and 60 tokens with anchors at both edges,
+    offsets past max_offset 4, repeated words, and words outside the word
+    table (w7, which the embeddings hold) and outside both (w8, w9)."""
+    rng = np.random.default_rng(seed)
+    emb = EmbeddingTable({f"w{i}": rng.normal(size=3) for i in range(8)}, 3)
+    words = WordTable(emb, [f"w{i}" for i in range(7)])
+    words.matrix.data += rng.normal(scale=0.1, size=words.matrix.shape)
+    pos = PositionTable(2, 4, rng)
+    lengths = [n for n in (1, 2, 9, 30, 60) for _ in range(2)]
+    anchors = [a for n in (1, 2, 9, 30, 60) for a in (0, n - 1)]
+    tokens = [f"w{(i * 3 + n) % 10}" for n in lengths for i in range(n)]
+    return rng, emb, words, pos, tokens, lengths, anchors
+
+
+@pytest.mark.parametrize("windows", [(1, 2, 3, 4, 5), (5, 2, 4)])
+def test_conv_tables_equal_conv_of_the_looked_up_rows(windows):
+    rng, emb, words, pos, tokens, lengths, anchors = _table_inputs(sum(windows))
+    rows, pos_index, distinct, word_index = distinct_lookups(tokens, lengths, anchors, pos)
+    f = 2
+    params = [(rng.uniform(-2, 2, (w, 5, f)), rng.uniform(-2, 2, f)) for w in windows]
+    probe = Tensor(rng.uniform(-2, 2, (len(tokens), f * len(windows))))
+
+    def run(tables):
+        for t in (pos.table, words.matrix):
+            t.zero_grad()
+        pairs = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+                 for w, b in params]
+        with Tape() as tape:
+            p_d, e_d = ad.take_rows(pos.table, rows), word_rows(distinct, emb, words)
+            if tables:
+                out = ad.conv1d_tables([(p_d, pos_index), (e_d, word_index)], pairs,
+                                       lengths=lengths)
+            else:
+                seq = ad.concat([ad.take_rows(p_d, pos_index), ad.take_rows(e_d, word_index)],
+                                axis=1)
+                np.testing.assert_array_equal(
+                    seq.data, encode(tokens, lengths, anchors, emb, pos, words).data)
+                out = ad.conv1d_same(seq, pairs, lengths=lengths)
+            loss = ad.mean(ad.mul(ad.tanh(out), probe))
+        tape.backward(loss)
+        grads = [pos.table.grad.copy(), words.matrix.grad.copy()]
+        return out.data, grads + [t.grad for pair in pairs for t in pair]
+
+    got, got_grads = run(tables=True)
+    want, want_grads = run(tables=False)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    largest = max(np.abs(g).max() for g in want_grads)
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(w).max() > 0
+        assert np.abs(g - w).max() <= 1e-12 * largest
+
+
+def test_conv_tables_gradient_matches_finite_differences():
+    rng = np.random.default_rng(5)
+    lengths = [1, 4, 2, 5]
+    index_p = rng.integers(0, 3, sum(lengths))
+    index_e = rng.integers(0, 4, sum(lengths))
+    arrays = [rng.uniform(-2, 2, shape) for shape in [(3, 2), (4, 3), (4, 5, 2), (2,),
+                                                      (3, 5, 3), (3,)]]
+    probe = Tensor(rng.uniform(-2, 2, (sum(lengths), 5)))
+
+    def loss_of(p, e, f4, b4, f3, b3):
+        out = ad.conv1d_tables([(p, index_p), (e, index_e)], [(f4, b4), (f3, b3)],
+                               lengths=lengths)
+        return ad.mean(ad.mul(ad.tanh(out), probe))
+
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        loss = loss_of(*tensors)
+    tape.backward(loss)
+    for t, a in zip(tensors, arrays):
+        numeric = central_diff(lambda: loss_of(*map(Tensor, arrays)).item(), a)
+        assert max_rel_error(t.grad, numeric) < 1e-6
+
+
+def test_conv_tables_rejects_indices_outside_a_table():
+    pair = (Tensor(np.ones((2, 3, 1))), Tensor(np.zeros(1)))
+    table = Tensor(np.ones((2, 3)))
+    with pytest.raises(ad.ShapeError, match="outside the 2 table rows"):
+        ad.conv1d_tables([(table, [0, 2])], [pair])
+    with pytest.raises(ad.ShapeError, match="input width 6"):
+        ad.conv1d_tables([(table, [0, 1]), (table, [1, 1])], [pair])
 
 
 # ---------------------------------------------------------------------------

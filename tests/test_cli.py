@@ -192,8 +192,8 @@ def test_gen_data_unknown_target_type(synth_dir, tmp_path):
     ("--corpus-test", '{"doc": "d", "tokens": ["a"], "mentions": [{"anchor": 0.5, "subtype": 7}]}',
      ":1: bad sentence record ('mentions'[0]['anchor'] must be an integer, not a float)"),
     ("--corpus-train", '{"doc": "d", "tokens": ["a"], "mentions": [{"anchor": 4, "subtype": "s"}]}',
-     ": d[0]: anchor 4 outside 0..0"),
-    ("--corpus-train", '{"doc": "d", "tokens": []}', ": d[0]: empty token list"),
+     ":1: anchor 4 outside 0..0"),
+    ("--corpus-train", '{"doc": "d", "tokens": []}', ":1: empty token list"),
 ], ids=["typemap-without-types", "typemap-bad-json", "typemap-unknown-type", "typemap-list",
        "lexicon-list", "lexicon-string", "lexicon-number", "corpus-string", "corpus-doc-number",
        "corpus-mention-numbers", "corpus-anchor-outside", "corpus-no-tokens"])

@@ -25,6 +25,7 @@ from lfked.models import (
     param_shapes,
 )
 from lfked.seeding import rng_for
+from lfked.training import batch_gradients
 
 from fd import central_diff, max_rel_error
 
@@ -459,6 +460,26 @@ def test_predict_batch_spans_chunks_and_long_sentences():
     assert [len(c) for c in chunks if len(c[0].tokens) == long_n] == [1]
     model = Model(tiny_config(windows=(2, 5)), tiny_emb())
     assert_packed_matches_forward(model, batch)
+
+
+def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
+    # One 9-token sentence has few repeated position rows and words, so its
+    # forward and a training step keep conv1d_same; a packed chunk of many
+    # sentences repeats them and runs layer 1 through conv1d_tables.
+    calls = []
+    for name in ("conv1d_same", "conv1d_tables"):
+        def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
+            calls.append(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(ad, name, spy)
+    model = case_model("finetune-words")
+    nine = [LFKExample([f"w{i}" for i in range(9)], a, ("k0", "k1"), a % 2) for a in (0, 4, 8)]
+    model.forward(nine[0])
+    batch_gradients(model, model.named_params().values(), nine, rng_for(0, "dropout", 1))
+    assert calls and set(calls) == {"conv1d_same"}
+    calls.clear()
+    model.logits_batch(mixed_batch())
+    assert calls == ["conv1d_tables", "conv1d_same"]
 
 
 def test_predict_batch_anchor_out_of_range_raises():
