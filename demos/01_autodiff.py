@@ -46,7 +46,7 @@ def main():
 
     def forward():
         # each sentence is padded on its own; maxpool gives one row per sentence
-        h = ad.tanh(ad.conv1d_same(tseq, tfil, tbias, lengths))
+        h = ad.tanh(ad.conv1d_same(tseq, [(tfil, tbias)], lengths))
         return ad.mean(ad.maxpool_time(h, lengths))
 
     with Tape() as tape:

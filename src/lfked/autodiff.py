@@ -8,12 +8,13 @@ evaluations and produce constants.
 Sequence ops work on a packed batch: the rows of several sentences stacked
 one after another, with `lengths` giving each sentence's row count (None: the
 whole input is one sentence). Per-sentence values, such as a CFA scale or an
-attention query, are (B, .) rows, one per sentence. `conv1d_same` also
-takes a list of (filters, bias) pairs of several window sizes and runs them
-from one padded copy and one im2col matrix at the widest window.
-`conv1d_tables` computes the same convolution for rows made of table
-lookups, from each table row's product with each filter tap: far less work
-when the tables have few rows against the sequence.
+attention query, are (B, .) rows, one per sentence. `conv1d_same` takes
+the list of (filters, bias) pairs of one or several window sizes and runs
+them from one padded copy and one im2col matrix at the widest window.
+`conv1d_tables` runs the same convolution over rows made of table lookups.
+It alone picks how: when the tables have few rows against the lookups
+(TABLE_SHARE), it multiplies each table row it reads by each filter tap
+once; otherwise it gathers the rows and calls `conv1d_same`.
 
 During the reverse replay the rules of `affine` and `conv1d_same` queue the
 factors of their weight's gradient on the weight instead of adding a
@@ -318,11 +319,11 @@ def _taps(pairs, left: int):
     return out
 
 
-def _conv_pairs(name, filters, bias, d_in: int):
-    """The (filters, bias) pairs of a conv op's arguments, shape-checked."""
-    pairs = [(filters, bias)] if isinstance(filters, Tensor) else list(filters)
-    if not pairs or (bias is not None and not isinstance(filters, Tensor)):
-        raise ValueError(f"{name} takes filters and bias, or a list of (filters, bias) pairs")
+def _conv_pairs(name, pairs, d_in: int):
+    """A conv op's list of (filters, bias) pairs, shape-checked."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError(f"{name} takes a list of (filters, bias) pairs")
     for filt, b in pairs:
         if filt.data.ndim != 3 or b.data.ndim != 1:
             raise ShapeError(f"{name} expects (w,d,f) filters and (f,) bias, "
@@ -334,21 +335,20 @@ def _conv_pairs(name, filters, bias, d_in: int):
     return pairs
 
 
-def conv1d_same(seq: Tensor, filters, bias: Tensor | None = None, lengths=None) -> Tensor:
+def conv1d_same(seq: Tensor, pairs, lengths=None) -> Tensor:
     """1-D convolution over the sequence axis with zero padding, length-preserving,
     of every sentence packed in seq, for one or several window sizes.
 
-    seq (n, d_in), filters (w, d_in, f), bias (f,) -> (n, f). For several
-    windows, `filters` is the list of their (filters, bias) pairs and bias is
-    None; window k's output is column block k of one (n, sum of f) matrix, in
-    the list's order. Each sentence is padded on its own: w-1 zeros split as
-    floor((w-1)/2) on the left and the remainder on the right, so even
-    windows take the extra pad position on the right.
+    seq (n, d_in) and a list of (filters (w, d_in, f), bias (f,)) pairs ->
+    (n, sum of f): window k's output is column block k, in the list's order.
+    Each sentence is padded on its own: w-1 zeros split as floor((w-1)/2) on
+    the left and the remainder on the right, so even windows take the extra
+    pad position on the right.
     """
     if seq.data.ndim != 2:
         raise ShapeError(f"conv1d_same expects an (n,d) sequence, got {seq.shape}")
     n, d_in = seq.data.shape
-    pairs = _conv_pairs("conv1d_same", filters, bias, d_in)
+    pairs = _conv_pairs("conv1d_same", pairs, d_in)
     W, left, start, gapped, n_pad = _layout(pairs, lengths, n)
     padded = np.zeros((n_pad, d_in))
     padded[left:][start] = seq.data
@@ -393,21 +393,37 @@ def conv1d_same(seq: Tensor, filters, bias: Tensor | None = None, lengths=None) 
     return out
 
 
-def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
-    """conv1d_same of rows made of table lookups, from products of the table rows.
+# conv1d_tables multiplies table rows by filter taps when its tables hold at
+# most this share of its K*n lookups (K tables of n indices each), and
+# gathers the rows for conv1d_same otherwise. Layer-1 time of the products
+# over the gather, on 529 chunks of 1-512 tokens of the bulk and short score
+# sets (one BLAS thread, 2-core machine), by the share of distinct rows read:
+# 0.39 below 0.1, 0.64 at 0.2-0.25, 0.82 at 0.35-0.4, 0.98 at 0.4-0.45, 1.02
+# at 0.45-0.5 and 1.59 above 0.8 without a tape, where scoring runs; with
+# one, forward and backward, 0.49, 0.76, 1.03, 1.11, 1.21 and 1.40. A
+# table's own rows bound the distinct rows read, so the gather route counts
+# nothing. Layer 1's position table and distinct words are 0.10-0.14 of the
+# lookups in the median of the benchmark's scoring chunks (largest 0.38),
+# and 0.71 or more of each of its training examples.
+TABLE_SHARE = 0.4
 
-    `lookups` is a list of (table (U_k, d_k), index (n,) ints) pairs, and row r
-    of the sequence is the rows it indexes, side by side: for a list of
-    (filters, bias) pairs the result is conv1d_same(concat([take_rows(table,
-    index), ...], axis=1), pairs, lengths=lengths), d_in being the sum of the
-    d_k. A convolution is linear in its rows, so tap j of a window applied to
-    row r is the sum over the tables of table_k[index_k[r]] @
-    filters[j][table k's columns]. Per window, every table row is multiplied
-    by every tap once, into (w, U + 1, f) products: the tables' rows stacked,
-    then a zero row. An output row is its bias plus one gathered products row
-    per tap and table, and pad rows gather the zero row. When the tables have
-    far fewer rows than the sequence, this is far less work than
-    conv1d_same's im2col product.
+
+def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
+    """conv1d_same of rows made of table lookups.
+
+    `lookups` is a list of K (table (U_k, d_k), index (n,) ints) pairs, and
+    row r of the sequence is the rows it indexes, side by side: the result is
+    conv1d_same(concat([take_rows(table, index), ...], axis=1), pairs,
+    lengths=lengths), d_in being the sum of the d_k. When the tables hold
+    more than TABLE_SHARE of the K*n lookups, that is how it is computed.
+    Otherwise it works from products: a convolution is linear in its rows,
+    so tap j of a window applied to row r is the sum over the tables of
+    table_k[index_k[r]] @ filters[j][table k's columns]. Per window, each
+    table row that an index reads is multiplied by every tap once, into
+    (w, U + 1, f) products: the rows read, stacked, then a zero row. An
+    output row is its bias plus one gathered products row per tap and table,
+    and pad rows gather the zero row. The backward adds into the rows read
+    only, so a table may hold rows that no index reads.
     """
     lookups = [(table, np.asarray(index, dtype=np.intp)) for table, index in lookups]
     n = len(lookups[0][1]) if lookups else 0
@@ -418,24 +434,31 @@ def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
         if n and (index.min() < 0 or index.max() >= len(table.data)):
             raise ShapeError(f"conv1d_tables index outside the {len(table.data)} table rows")
     widths = np.cumsum([0] + [table.data.shape[1] for table, _ in lookups])
-    sizes = np.cumsum([0] + [len(table.data) for table, _ in lookups])
-    pairs = _conv_pairs("conv1d_tables", pairs, None, int(widths[-1]))
+    pairs = _conv_pairs("conv1d_tables", pairs, int(widths[-1]))
+    if sum(len(table.data) for table, _ in lookups) > TABLE_SHARE * len(lookups) * n:
+        return conv1d_same(concat([take_rows(table, index) for table, index in lookups], axis=1),
+                           pairs, lengths=lengths)
     W, left, start, _, n_pad = _layout(pairs, lengths, n)
-    # per lookup: its columns of the filters, and its rows of the products
-    parts = [(slice(a, b), slice(u, v))
-             for a, b, u, v in zip(widths[:-1], widths[1:], sizes[:-1], sizes[1:])]
+    # per lookup: the table rows it reads, sorted, and each index's place among them
+    seen = [np.unique(index, return_inverse=True) for _, index in lookups]
+    sizes = np.cumsum([0] + [len(used) for used, _ in seen])
+    # per lookup: the rows it reads, by number and by value, its columns of
+    # the filters, and its rows of the products
+    parts = [(used, table.data[used], slice(a, b), slice(u, v))
+             for (table, _), (used, _), a, b, u, v
+             in zip(lookups, seen, widths[:-1], widths[1:], sizes[:-1], sizes[1:])]
     rows = sizes[-1] + 1
     # the products row each row of the padded layout reads, per lookup
     padded = np.full((len(lookups), n_pad), rows - 1)
-    for k, (_, index) in enumerate(lookups):
-        padded[k, left:][start] = index + sizes[k]
+    for k, (_, place) in enumerate(seen):
+        padded[k, left:][start] = place + sizes[k]
     windows = np.arange(n_pad - (W - 1))[start]
     data = np.empty((n, sum(b.data.shape[0] for _, b in pairs)))
     blocks = []
     for (filt, b), (w, off, cols) in zip(pairs, _taps(pairs, left)):
         products = np.empty((w, rows, filt.data.shape[2]))
-        for (table, _), (in_cols, out_rows) in zip(lookups, parts):
-            np.matmul(table.data, filt.data[:, in_cols], out=products[:, out_rows])
+        for _, used_rows, in_cols, out_rows in parts:
+            np.matmul(used_rows, filt.data[:, in_cols], out=products[:, out_rows])
         products[:, -1] = 0.0
         # (K*w, n): per lookup and tap, the row of the (w*rows, f) products
         # each output row reads
@@ -466,12 +489,12 @@ def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
                 d_products[hit[first]] = np.add.reduceat(g[order % reads.shape[1], cols], first,
                                                          axis=0)
                 d_products = d_products.reshape(w, rows, f)
-                for (table, _), (in_cols, out_rows) in zip(lookups, parts):
+                for (table, _), (used, used_rows, in_cols, out_rows) in zip(lookups, parts):
                     if filt.requires_grad:
-                        filt.grad[:, in_cols] += table.data.T @ d_products[:, out_rows]
+                        filt.grad[:, in_cols] += used_rows.T @ d_products[:, out_rows]
                     if table.requires_grad:
-                        table.grad += (d_products[:, out_rows]
-                                       @ filt.data[:, in_cols].transpose(0, 2, 1)).sum(axis=0)
+                        table.grad[used] += (d_products[:, out_rows]
+                                             @ filt.data[:, in_cols].transpose(0, 2, 1)).sum(axis=0)
         tape._record(rule)
     return out
 

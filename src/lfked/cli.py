@@ -175,11 +175,10 @@ def cmd_gen_data(args) -> int:
 
 
 # The train subcommand's ModelConfig and TrainConfig fields, settable by flag
-# or config file. Left out: the variant (head, cfa), which --model picks; the
-# model seed, which is --seed; and Adadelta's rho and eps, which keep their
-# defaults.
+# or config file. Left out: the variant (head, cfa), which --model picks, and
+# the model seed, which is --seed.
 MODEL_FIELDS = [f.name for f in fields(ModelConfig) if f.name not in ("head", "cfa", "seed")]
-TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name not in ("rho", "eps")]
+TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
 
 
 def _parse_windows(text) -> tuple[int, ...]:

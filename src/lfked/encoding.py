@@ -1,8 +1,9 @@
 """Word embeddings, learned position embeddings, and sentence encoding.
 
 The encoder turns sentences, packed one after another with an anchor each,
-into one matrix whose row i of a sentence is the concatenation of a position
-vector for offset i - anchor and the word vector of token i; the keyword
+into the input of the first CNN layer: row i of a sentence is a position
+vector for offset i - anchor beside the word vector of token i, given as a
+lookup into each of two tables (see autodiff.conv1d_tables). The keyword
 encoder turns keyword sets into one row each. Word vectors are frozen by
 default; pass a WordTable to make them trainable. Position vectors are always
 learned.
@@ -93,6 +94,8 @@ def load_embeddings(path, dim: int | None = None, oov_policy: str = "random-fixe
                 vec = np.array([float(v) for v in values])
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: non-numeric value ({e})") from e
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: non-finite value for {token!r}")
             if token in vectors:
                 log.warning("%s:%d: duplicate token %r, keeping the later entry",
                             path, lineno, token)
@@ -187,34 +190,22 @@ def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Te
     return Tensor(emb.rows(tokens)) if words is None else words.rows(tokens)
 
 
-def _offsets(n: int, lengths, anchors) -> np.ndarray:
-    """Each of n packed tokens' offset to its sentence's anchor."""
+def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
+           words: WordTable | None = None):
+    """The input rows of sentences packed one after another, as the two
+    (table, index) lookups of `conv1d_tables`: row i is the position row of
+    token i beside its word vector. `tokens` holds every sentence's tokens in
+    order, `lengths` their counts and `anchors` one index into each sentence.
+
+    The positions index the whole position table. The word table holds the
+    distinct tokens in first-occurrence order, so each is looked up once."""
     lengths = np.asarray(lengths, dtype=np.intp)
     anchors = np.asarray(anchors, dtype=np.intp)
     check_anchors(anchors, lengths)
-    return np.arange(n) - np.repeat(np.cumsum(lengths) - lengths + anchors, lengths)
-
-
-def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
-           words: WordTable | None = None) -> Tensor:
-    """The (len(tokens), pos.dim + emb.dim) input rows of sentences packed one
-    after another: `tokens` holds every sentence's tokens in order, `lengths`
-    their counts and `anchors` one index into each sentence."""
-    pos_rows = take_rows(pos.table, pos.row_indices(_offsets(len(tokens), lengths, anchors)))
-    return concat([pos_rows, word_rows(tokens, emb, words)], axis=1)
-
-
-def distinct_lookups(tokens, lengths, anchors, pos: PositionTable):
-    """encode's two lookups by distinct value: the position table rows and the
-    tokens that occur, and per token the index of its own among each.
-
-    take_rows(pos.table, rows)[pos_index] is encode's position block, and
-    word_rows(distinct, ...)[word_index] its word block."""
-    rows, pos_index = np.unique(pos.row_indices(_offsets(len(tokens), lengths, anchors)),
-                                return_inverse=True)
+    offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths + anchors, lengths)
     first: dict[str, int] = {}
     word_index = np.array([first.setdefault(t, len(first)) for t in tokens], dtype=np.intp)
-    return rows, pos_index, list(first), word_index
+    return [(pos.table, pos.row_indices(offsets)), (word_rows(list(first), emb, words), word_index)]
 
 
 def keyword_repr(keyword_sets, emb: EmbeddingTable,

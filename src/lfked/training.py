@@ -95,8 +95,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     neg_keep: float | None = None  # fraction of negatives kept per epoch
-    rho: float = 0.95
-    eps: float = 1e-6
     lr: float = 1.0
 
     def validate(self):
@@ -193,7 +191,7 @@ def train(model, train_examples, dev_examples, config: TrainConfig,
         raise ValueError("dev set has no positive examples; F1 selection is undefined")
 
     named = model.named_params()
-    opt = Adadelta(named, rho=config.rho, eps=config.eps, lr=config.lr)
+    opt = Adadelta(named, lr=config.lr)
     best_f1 = -1.0
     best_epoch = 0
     best_report = None

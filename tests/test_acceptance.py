@@ -246,6 +246,7 @@ def test_c06_holdout_provenance(default_data):
 
 # -- gate 7: learning signal on the default synthetic data ---------------
 
+@pytest.mark.slow
 def test_c07_learning_signal(default_splits):
     emb, (train_set, dev_set, test_set) = default_splits
     t0 = time.time()
@@ -267,6 +268,7 @@ def test_c07_learning_signal(default_splits):
 
 # -- gate 8: attention vs attention-cfa across seeds (report only) -------
 
+@pytest.mark.slow
 def test_c08_cfa_ordering_report(default_splits):
     emb, (train_set, dev_set, test_set) = default_splits
     scores = {}

@@ -5,10 +5,10 @@ import pytest
 
 from lfked import autodiff as ad
 from lfked.autodiff import Tape, Tensor
-from lfked.encoding import (EmbeddingTable, PositionTable, WordTable, distinct_lookups, encode,
-                            word_rows)
+from lfked.encoding import EmbeddingTable, PositionTable, WordTable, encode
 
 from fd import central_diff, max_rel_error
+from lookups import gathered
 
 
 def scalar_loss(op, *tensors):
@@ -75,6 +75,11 @@ def test_matmul_all_arities_gradcheck(sa, sb):
 # conv1d_same
 
 
+def conv_one(seq, filters, bias, lengths=None):
+    """conv1d_same of one window."""
+    return ad.conv1d_same(seq, [(filters, bias)], lengths=lengths)
+
+
 def naive_conv1d_same(seq, filters, bias):
     """Sliding-window dot-product oracle with explicit zero padding."""
     n, d_in = seq.shape
@@ -95,14 +100,14 @@ def naive_conv1d_same(seq, filters, bias):
 
 def test_conv_zero_input_gives_bias_rows():
     bias = np.array([0.5, -1.5])
-    out = ad.conv1d_same(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 3, 2))), Tensor(bias))
+    out = ad.conv1d_same(Tensor(np.zeros((4, 3))), [(Tensor(np.zeros((3, 3, 2))), Tensor(bias))])
     np.testing.assert_array_equal(out.data, np.tile(bias, (4, 1)))
 
 
 def test_conv_width1_is_scaling():
     seq = Tensor([[1.0], [2.0], [3.0]])
     filt = Tensor(np.array(2.0).reshape(1, 1, 1))
-    out = ad.conv1d_same(seq, filt, Tensor([0.0]))
+    out = ad.conv1d_same(seq, [(filt, Tensor([0.0]))])
     np.testing.assert_array_equal(out.data, [[2.0], [4.0], [6.0]])
 
 
@@ -111,7 +116,7 @@ def test_conv_matches_sliding_window_oracle():
     seq = rng.uniform(-2, 2, (4, 3))
     filters = rng.uniform(-2, 2, (3, 3, 5))
     bias = rng.uniform(-2, 2, 5)
-    out = ad.conv1d_same(Tensor(seq), Tensor(filters), Tensor(bias))
+    out = ad.conv1d_same(Tensor(seq), [(Tensor(filters), Tensor(bias))])
     np.testing.assert_allclose(out.data, naive_conv1d_same(seq, filters, bias), atol=1e-12)
 
 
@@ -119,7 +124,7 @@ def test_conv_matches_sliding_window_oracle():
 def test_conv_preserves_length_for_all_windows(w):
     # windows 1..n+2 for n=4
     seq = np.random.default_rng(w).uniform(-1, 1, (4, 2))
-    out = ad.conv1d_same(Tensor(seq), Tensor(np.ones((w, 2, 3))), Tensor(np.zeros(3)))
+    out = ad.conv1d_same(Tensor(seq), [(Tensor(np.ones((w, 2, 3))), Tensor(np.zeros(3)))])
     assert out.shape == (4, 3)
 
 
@@ -129,11 +134,11 @@ def test_conv_even_window_pads_right():
     seq = np.array([[1.0], [10.0], [100.0]])
     filters = np.zeros((2, 1, 1))
     filters[0, 0, 0] = 1.0   # weight on the earlier position
-    out = ad.conv1d_same(Tensor(seq), Tensor(filters), Tensor(np.zeros(1)))
+    out = ad.conv1d_same(Tensor(seq), [(Tensor(filters), Tensor(np.zeros(1)))])
     np.testing.assert_array_equal(out.data, [[1.0], [10.0], [100.0]])
     filters2 = np.zeros((2, 1, 1))
     filters2[1, 0, 0] = 1.0  # weight on the later position
-    out2 = ad.conv1d_same(Tensor(seq), Tensor(filters2), Tensor(np.zeros(1)))
+    out2 = ad.conv1d_same(Tensor(seq), [(Tensor(filters2), Tensor(np.zeros(1)))])
     np.testing.assert_array_equal(out2.data, [[10.0], [100.0], [0.0]])
 
 
@@ -142,7 +147,7 @@ def test_conv_gradcheck_all_inputs():
     rng = np.random.default_rng(2)
     for n, w in [(5, 2), (1, 5), (2, 4)]:
         check_grads(
-            ad.conv1d_same,
+            conv_one,
             rng.uniform(-2, 2, (n, 3)),
             rng.uniform(-2, 2, (w, 3, 4)),
             rng.uniform(-2, 2, 4),
@@ -157,7 +162,7 @@ def test_conv_input_gradient_is_bitwise_the_scatter_add(n, w):
     seq = Tensor(rng.uniform(-2, 2, (n, d)), requires_grad=True)
     filters = rng.uniform(-2, 2, (w, d, f))
     with Tape() as tape:
-        out = ad.conv1d_same(seq, Tensor(filters), Tensor(np.zeros(f)))
+        out = ad.conv1d_same(seq, [(Tensor(filters), Tensor(np.zeros(f)))])
         loss = ad.mean(ad.mul(out, Tensor(rng.uniform(-2, 2, (n, f)))))
     tape.backward(loss)
     left = (w - 1) // 2
@@ -177,9 +182,10 @@ def test_conv_backward_repeated_filters_sum_over_calls():
     bias = rng.uniform(-2, 2, 2)
 
     def loss_of(filt):
-        total = ad.mean(ad.tanh(ad.conv1d_same(Tensor(seqs[0]), filt, Tensor(bias))))
+        total = ad.mean(ad.tanh(ad.conv1d_same(Tensor(seqs[0]), [(filt, Tensor(bias))])))
         for s in seqs[1:]:
-            total = ad.add(total, ad.mean(ad.tanh(ad.conv1d_same(Tensor(s), filt, Tensor(bias)))))
+            total = ad.add(total,
+                           ad.mean(ad.tanh(ad.conv1d_same(Tensor(s), [(filt, Tensor(bias))]))))
         return total
 
     tf = Tensor(filters, requires_grad=True)
@@ -209,7 +215,7 @@ def test_conv_window_list_equals_each_window_then_concat(windows):
             if fused:
                 out = ad.conv1d_same(tseq, pairs, lengths=lengths)
             else:
-                out = ad.concat([ad.conv1d_same(tseq, w, b, lengths) for w, b in pairs], axis=1)
+                out = ad.concat([conv_one(tseq, w, b, lengths) for w, b in pairs], axis=1)
             loss = ad.mean(ad.mul(ad.tanh(out), probe))
         tape.backward(loss)
         return out.data, [tseq.grad] + [t.grad for pair in pairs for t in pair]
@@ -222,9 +228,6 @@ def test_conv_window_list_equals_each_window_then_concat(windows):
 
 
 def test_conv_window_list_takes_no_separate_bias():
-    pair = (Tensor(np.ones((2, 3, 1))), Tensor(np.zeros(1)))
-    with pytest.raises(ValueError, match="list of"):
-        ad.conv1d_same(Tensor(np.ones((4, 3))), [pair], Tensor(np.zeros(1)))
     with pytest.raises(ValueError, match="list of"):
         ad.conv1d_same(Tensor(np.ones((4, 3))), [])
 
@@ -239,7 +242,7 @@ def test_non_leaf_weight_gradient(op):
     else:
         w_shape, x, b = (3, 2, 4), rng.uniform(-2, 2, (5, 2)), rng.uniform(-2, 2, 4)
     raw = rng.uniform(-2, 2, w_shape)
-    fn = getattr(ad, op)
+    fn = ad.affine if op == "affine" else conv_one
 
     def loss_of(weight):
         made = ad.tanh(weight)
@@ -256,7 +259,7 @@ def test_non_leaf_weight_gradient(op):
 
 def _weight_loss(seq, filters, weight, bias):
     """mean(affine(weight, tanh(conv(seq)))): both deferring ops, leaf weights."""
-    h = ad.tanh(ad.conv1d_same(Tensor(seq), filters, Tensor(np.zeros(filters.shape[2]))))
+    h = ad.tanh(ad.conv1d_same(Tensor(seq), [(filters, Tensor(np.zeros(filters.shape[2])))]))
     return ad.mean(ad.affine(weight, h, Tensor(bias)))
 
 
@@ -331,56 +334,72 @@ def test_assigning_grad_discards_queued_factors():
 
 
 def _table_inputs(seed):
-    """Sentences of 1, 2, 9, 30 and 60 tokens with anchors at both edges,
-    offsets past max_offset 4, repeated words, and words outside the word
-    table (w7, which the embeddings hold) and outside both (w8, w9)."""
+    """Sentences of 1, 2, 9, 30 and 60 tokens, anchored at their first token
+    and at min(n - 1, 2). Offsets pass max_offset 4 on the right only, so
+    position rows 0 and 1 (offsets -4 and -3) are never read. Words repeat,
+    and some are outside the word table (w7, which the embeddings hold) or
+    outside both (w8, w9)."""
     rng = np.random.default_rng(seed)
     emb = EmbeddingTable({f"w{i}": rng.normal(size=3) for i in range(8)}, 3)
     words = WordTable(emb, [f"w{i}" for i in range(7)])
     words.matrix.data += rng.normal(scale=0.1, size=words.matrix.shape)
     pos = PositionTable(2, 4, rng)
     lengths = [n for n in (1, 2, 9, 30, 60) for _ in range(2)]
-    anchors = [a for n in (1, 2, 9, 30, 60) for a in (0, n - 1)]
+    anchors = [a for n in (1, 2, 9, 30, 60) for a in (0, min(n - 1, 2))]
     tokens = [f"w{(i * 3 + n) % 10}" for n in lengths for i in range(n)]
     return rng, emb, words, pos, tokens, lengths, anchors
 
 
 @pytest.mark.parametrize("windows", [(1, 2, 3, 4, 5), (5, 2, 4)])
 def test_conv_tables_equal_conv_of_the_looked_up_rows(windows):
+    # All ten sentences take the products route; the first five, whose tables
+    # are above TABLE_SHARE of their lookups, take the gather route.
     rng, emb, words, pos, tokens, lengths, anchors = _table_inputs(sum(windows))
-    rows, pos_index, distinct, word_index = distinct_lookups(tokens, lengths, anchors, pos)
     f = 2
     params = [(rng.uniform(-2, 2, (w, 5, f)), rng.uniform(-2, 2, f)) for w in windows]
-    probe = Tensor(rng.uniform(-2, 2, (len(tokens), f * len(windows))))
+    probe = rng.uniform(-2, 2, (len(tokens), f * len(windows)))
 
-    def run(tables):
+    def run(k, tables):
+        """The layer over the first k sentences, from the lookups or from their
+        gathered rows: the lookups, the output and the gradients."""
+        n = sum(lengths[:k])
         for t in (pos.table, words.matrix):
             t.zero_grad()
         pairs = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
                  for w, b in params]
         with Tape() as tape:
-            p_d, e_d = ad.take_rows(pos.table, rows), word_rows(distinct, emb, words)
+            lookups = encode(tokens[:n], lengths[:k], anchors[:k], emb, pos, words)
             if tables:
-                out = ad.conv1d_tables([(p_d, pos_index), (e_d, word_index)], pairs,
-                                       lengths=lengths)
+                out = ad.conv1d_tables(lookups, pairs, lengths=lengths[:k])
             else:
-                seq = ad.concat([ad.take_rows(p_d, pos_index), ad.take_rows(e_d, word_index)],
-                                axis=1)
-                np.testing.assert_array_equal(
-                    seq.data, encode(tokens, lengths, anchors, emb, pos, words).data)
-                out = ad.conv1d_same(seq, pairs, lengths=lengths)
-            loss = ad.mean(ad.mul(ad.tanh(out), probe))
+                out = ad.conv1d_same(gathered(lookups), pairs, lengths=lengths[:k])
+            loss = ad.mean(ad.mul(ad.tanh(out), Tensor(probe[:n])))
         tape.backward(loss)
         grads = [pos.table.grad.copy(), words.matrix.grad.copy()]
-        return out.data, grads + [t.grad for pair in pairs for t in pair]
+        return lookups, out.data, grads + [t.grad for pair in pairs for t in pair]
 
-    got, got_grads = run(tables=True)
-    want, want_grads = run(tables=False)
+    def table_rows(lookups):
+        return sum(len(table.data) for table, _ in lookups)
+
+    lookups, got, got_grads = run(len(lengths), tables=True)
+    assert lookups[0][0] is pos.table
+    assert table_rows(lookups) <= ad.TABLE_SHARE * 2 * len(tokens)
+    _, want, want_grads = run(len(lengths), tables=False)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     largest = max(np.abs(g).max() for g in want_grads)
     for g, w in zip(got_grads, want_grads):
         assert np.abs(w).max() > 0
         assert np.abs(g - w).max() <= 1e-12 * largest
+    unread = np.setdiff1d(np.arange(len(pos.table.data)), lookups[0][1])
+    assert unread.tolist() == [0, 1]
+    assert not got_grads[0][unread].any()
+
+    lookups, got, got_grads = run(5, tables=True)
+    assert table_rows(lookups) > ad.TABLE_SHARE * 2 * sum(lengths[:5])
+    _, want, want_grads = run(5, tables=False)
+    np.testing.assert_array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_conv_tables_gradient_matches_finite_differences():
@@ -659,9 +678,9 @@ def split_rows(x):
 # name -> (op, input shapes, per input: split by sentence (True), one row per
 # sentence (False) or shared (None)); each op takes the lengths last
 PACKED_OPS = {
-    "conv1d_same_w1": (ad.conv1d_same, [(N_ROWS, 3), (1, 3, 2), (2,)], [True, None, None]),
-    "conv1d_same_w4": (ad.conv1d_same, [(N_ROWS, 3), (4, 3, 2), (2,)], [True, None, None]),
-    "conv1d_same_w5": (ad.conv1d_same, [(N_ROWS, 3), (5, 3, 2), (2,)], [True, None, None]),
+    "conv1d_same_w1": (conv_one, [(N_ROWS, 3), (1, 3, 2), (2,)], [True, None, None]),
+    "conv1d_same_w4": (conv_one, [(N_ROWS, 3), (4, 3, 2), (2,)], [True, None, None]),
+    "conv1d_same_w5": (conv_one, [(N_ROWS, 3), (5, 3, 2), (2,)], [True, None, None]),
     "conv1d_same_w4_w3": (
         lambda seq, f4, b4, f3, b3, lengths=None:
             ad.conv1d_same(seq, [(f4, b4), (f3, b3)], lengths=lengths),

@@ -343,21 +343,21 @@ def test_train_rejects_a_learning_rate_that_is_not_finite_and_positive(
 
 
 def test_train_numeric_failure_exit_code(synth_dir, data_dir, tmp_path, capsys):
-    # an embedding file with a non-finite vector blows up the first batch
-    bad = tmp_path / "bad_emb.txt"
+    # A non-finite vector is refused on load (exit 2); finite vectors too
+    # large to multiply blow up the first batch (exit 3).
     lines = (synth_dir / "embeddings.txt").read_text().splitlines()
-    token, _, rest = lines[0].partition(" ")
-    dim = len(rest.split())
-    lines[0] = token + " inf" * dim
-    bad.write_text("\n".join(lines) + "\n")
-    with np.errstate(invalid="ignore"):
-        rc = run_cli("train", "--model", "concat", "--data-dir", data_dir,
-                     "--embeddings", bad, "--out", tmp_path / "x",
-                     "--windows", "2", "--filters", 2, "--pos-dim", 2,
-                     "--max-offset", 3, "--ffn-hidden", 4, "--epochs", 1,
-                     "--seed", 0)
-    assert rc == 3
-    assert "numeric" in capsys.readouterr().err
+    dim = len(lines[0].split()) - 1
+    for value, want in (("inf", 2), ("1e308", 3)):
+        bad = tmp_path / f"emb_{value}.txt"
+        bad.write_text("".join(line.split()[0] + f" {value}" * dim + "\n" for line in lines))
+        with np.errstate(invalid="ignore", over="ignore"):
+            rc = run_cli("train", "--model", "concat", "--data-dir", data_dir,
+                         "--embeddings", bad, "--out", tmp_path / "x",
+                         "--windows", "2", "--filters", 2, "--pos-dim", 2,
+                         "--max-offset", 3, "--ffn-hidden", 4, "--epochs", 1,
+                         "--seed", 0)
+        assert rc == want
+        assert ("non-finite value" if want == 2 else "numeric") in capsys.readouterr().err
 
 
 # One config file with a value of every type; the run also gives --epochs.

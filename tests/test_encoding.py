@@ -18,6 +18,8 @@ from lfked.encoding import (
 )
 from lfked.seeding import rng_for
 
+from lookups import gathered
+
 
 def table(dim=3, policy="zero", seed=0):
     return EmbeddingTable(
@@ -58,9 +60,10 @@ def test_load_embeddings_dim_mismatch(tmp_path):
 
 def test_load_embeddings_parse_error_names_line(tmp_path):
     p = tmp_path / "emb.txt"
-    p.write_text("cat 1.0 2.0 3.0\ndog 1.0 oops 3.0\n")
-    with pytest.raises(ValueError, match=":2"):
-        load_embeddings(p, dim=3)
+    for bad in ("oops", "nan", "inf", "-inf"):
+        p.write_text(f"cat 1.0 2.0 3.0\ndog 1.0 {bad} 3.0\n")
+        with pytest.raises(ValueError, match=":2"):
+            load_embeddings(p, dim=3)
 
 
 def test_load_embeddings_duplicate_last_wins(tmp_path, caplog):
@@ -127,7 +130,7 @@ def test_position_table_shape_and_clamp():
 
 def test_encode_single_token():
     emb, pos = table(), ptable()
-    enc = encode(["cat"], [1], [0], emb, pos)
+    enc = gathered(encode(["cat"], [1], [0], emb, pos))
     assert enc.shape == (1, 7)
     want = np.concatenate([pos.table.data[3], emb.lookup("cat")])
     assert (enc.data[0] == want).all()
@@ -135,7 +138,7 @@ def test_encode_single_token():
 
 def test_encode_offsets_from_anchor():
     emb, pos = table(), ptable()
-    enc = encode(["cat", "dog", "cat"], [3], [0], emb, pos)
+    enc = gathered(encode(["cat", "dog", "cat"], [3], [0], emb, pos))
     # anchor at 0: offsets 0, 1, 2 -> table rows 3, 4, 5
     for i, row in enumerate([3, 4, 5]):
         assert (enc.data[i, :4] == pos.table.data[row]).all()
@@ -145,7 +148,7 @@ def test_encode_offsets_from_anchor():
 def test_encode_clamps_large_offsets():
     emb = EmbeddingTable({}, 3, oov_policy="zero")
     pos = PositionTable(4, 30, rng_for(1, "pos"))
-    enc = encode([f"w{i}" for i in range(50)], [50], [0], emb, pos)
+    enc = gathered(encode([f"w{i}" for i in range(50)], [50], [0], emb, pos))
     # row 49 has offset 49, clamped to 30
     assert (enc.data[49, :4] == pos.table.data[60]).all()
     assert (enc.data[49, :4] == enc.data[30, :4]).all()
@@ -160,7 +163,7 @@ def test_encode_anchor_out_of_range():
 def test_encode_shape_property():
     emb, pos = table(), ptable()
     for n in (1, 2, 5, 11):
-        enc = encode([f"w{i}" for i in range(n)], [n], [n // 2], emb, pos)
+        enc = gathered(encode([f"w{i}" for i in range(n)], [n], [n // 2], emb, pos))
         assert enc.shape == (n, pos.dim + emb.dim)
 
 
@@ -168,7 +171,7 @@ def test_position_grads_flow_words_stay_frozen():
     emb, pos = table(), ptable()
     before = emb.vectors["cat"].copy()
     with Tape() as tape:
-        enc = encode(["cat", "dog"], [2], [1], emb, pos)
+        enc = gathered(encode(["cat", "dog"], [2], [1], emb, pos))
         from lfked.autodiff import mean
 
         tape.backward(mean(enc))
@@ -180,9 +183,9 @@ def test_encode_packs_sentences_one_after_another():
     emb, pos = table(policy="random-fixed"), ptable()
     sentences = [(["cat"], 0), (["dog", "cat", "bird", "cat"], 3), (["bird", "dog"], 0)]
     tokens = [t for toks, _ in sentences for t in toks]
-    packed = encode(tokens, [len(t) for t, _ in sentences], [a for _, a in sentences],
-                    emb, pos).data
-    alone = [encode(toks, [len(toks)], [a], emb, pos).data for toks, a in sentences]
+    packed = gathered(encode(tokens, [len(t) for t, _ in sentences],
+                             [a for _, a in sentences], emb, pos)).data
+    alone = [gathered(encode(toks, [len(toks)], [a], emb, pos)).data for toks, a in sentences]
     assert (packed == np.concatenate(alone)).all()
     with pytest.raises(ValueError, match="anchor 2 outside 0..1"):
         encode(tokens, [1, 2, 4], [0, 2, 0], emb, pos)
@@ -263,7 +266,7 @@ def test_word_table_lookup_and_grads():
 
     pos = ptable()
     with Tape() as tape:
-        enc = encode(["cat", "dog"], [2], [0], emb, pos, words=words)
+        enc = gathered(encode(["cat", "dog"], [2], [0], emb, pos, words=words))
         from lfked.autodiff import mean
 
         tape.backward(mean(enc))
@@ -291,7 +294,7 @@ def test_word_table_unseen_tokens_keep_frozen_vectors():
     tokens = ["zzunseen", "cat", "bird", "dog", "zzunseen"]
     pos = ptable()
     with Tape() as tape:
-        enc = encode(tokens, [len(tokens)], [1], emb, pos, words=words)
+        enc = gathered(encode(tokens, [len(tokens)], [1], emb, pos, words=words))
         from lfked.autodiff import mean
 
         tape.backward(mean(enc))

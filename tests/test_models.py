@@ -28,6 +28,7 @@ from lfked.seeding import rng_for
 from lfked.training import batch_gradients
 
 from fd import central_diff, max_rel_error
+from lookups import gathered
 
 
 def tiny_config(**kw):
@@ -145,7 +146,7 @@ def test_cnn_layer_matches_per_window_oracle():
         for w in (1, 2, 3)
     ]
     out = cnn_layer(h, [6], wp, ACTIVATIONS["tanh"])
-    pieces = [np.tanh(ad.conv1d_same(h, f, b).data) for f, b in wp]
+    pieces = [np.tanh(ad.conv1d_same(h, [(f, b)]).data) for f, b in wp]
     assert np.abs(out.data - np.concatenate(pieces, axis=1)).max() < 1e-12
 
 
@@ -286,12 +287,12 @@ def test_concat_pipeline_matches_hand_wired_oracle():
 
     from lfked.encoding import encode, keyword_repr
 
-    h = encode(ex.tokens, [len(ex.tokens)], [ex.anchor], emb, model.pos)
+    h = gathered(encode(ex.tokens, [len(ex.tokens)], [ex.anchor], emb, model.pos))
     v_k = keyword_repr([ex.keywords], emb)
     p = model.params
     for i in (1, 2):
         h = ad.concat(
-            [ad.tanh(ad.conv1d_same(h, p[f"conv{i}.w{w}.filters"], p[f"conv{i}.w{w}.bias"]))
+            [ad.tanh(ad.conv1d_same(h, [(p[f"conv{i}.w{w}.filters"], p[f"conv{i}.w{w}.bias"])]))
              for w in cfg.windows],
             axis=1,
         )
@@ -463,20 +464,28 @@ def test_predict_batch_spans_chunks_and_long_sentences():
 
 
 def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
-    # One 9-token sentence has few repeated position rows and words, so its
-    # forward and a training step keep conv1d_same; a packed chunk of many
-    # sentences repeats them and runs layer 1 through conv1d_tables.
-    calls = []
+    # Layer 1 always goes to conv1d_tables. One 9-token sentence has more
+    # table rows than TABLE_SHARE of its lookups, so its forward and a
+    # training step gather the rows for conv1d_same inside it; a packed chunk
+    # of many sentences repeats them, and layer 1 runs from the products.
+    calls, active = [], []
     for name in ("conv1d_same", "conv1d_tables"):
         def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
-            calls.append(_name)
-            return _op(*args, **kwargs)
+            calls.append("/".join(active + [_name]))
+            active.append(_name)
+            try:
+                return _op(*args, **kwargs)
+            finally:
+                active.pop()
         monkeypatch.setattr(ad, name, spy)
     model = case_model("finetune-words")
     nine = [LFKExample([f"w{i}" for i in range(9)], a, ("k0", "k1"), a % 2) for a in (0, 4, 8)]
+    gathered_layer = ["conv1d_tables", "conv1d_tables/conv1d_same", "conv1d_same"]
     model.forward(nine[0])
+    assert calls == gathered_layer
+    calls.clear()
     batch_gradients(model, model.named_params().values(), nine, rng_for(0, "dropout", 1))
-    assert calls and set(calls) == {"conv1d_same"}
+    assert calls == gathered_layer * len(nine)
     calls.clear()
     model.logits_batch(mixed_batch())
     assert calls == ["conv1d_tables", "conv1d_same"]
