@@ -19,9 +19,16 @@ convolution op for all its window sizes, with one product per window into
 its own column block of the layer's output. The first layer reads the
 position and word lookups of `encode` through `conv1d_tables`, which picks
 its own route; layers 2 and up read the rows of the layer below through
-`conv1d_same`. On the tape the forward is what training runs, one example at
-a time through `Model.forward`; without a tape, `Model.predict_batch` runs
-it over chunks of up to SCORE_TOKENS tokens.
+`conv1d_same`. Nothing before the first CFA step, the attention head or the
+concat with V_K reads the keywords, so a batch's distinct (tokens, anchor)
+contexts are encoded and convolved once each: at the first op that reads
+V_K, one `take_rows` gives each example its context's rows (for the concat
+head, its pooled row), and on a tape it sums the gradients of the examples
+that share a context. A batch of distinct contexts, such as every training
+forward of one example, records no extra op. On the tape the forward is
+what training runs, one example at a time through `Model.forward`; without
+a tape, `Model.predict_batch` runs it over chunks of up to SCORE_TOKENS rows
+in the widest layer (see _chunks).
 
 Every parameter is initialized uniformly in [-0.1, 0.1] from a stream keyed
 by (seed, "init", parameter name), so two configs sharing a seed assign
@@ -56,13 +63,15 @@ ACTIVATIONS = {
 
 HEADS = ("concat", "attention")
 
-# Tokens per chunk of predict_batch; a longer sentence is a chunk of its own.
-# With one BLAS thread on a 2-core machine and layer 1 from tables, medians
-# of two sets of 9 and 11 alternating scorings of the three benchmark score
-# sets at 512 / 1024 / 2048: 41.3 / 39.7 / 40.9 and 31.0 / 32.2 / 34.4 ms
-# (short), 121 / 115 / 129 and 96 / 100 / 113 ms (mixed), 1.95 / 1.76 / 1.93
-# and 1.80 / 1.63 / 1.93 s (bulk). 1024 is not faster on all three, and it
-# raised the peak RSS of scoring the mixed set from 54 to 61 MB, so 512 stays.
+# Rows per chunk of predict_batch in its widest layer: tokens of distinct
+# contexts for plain concat, of examples otherwise (see _chunks); a longer
+# sentence is a chunk of its own. With one BLAS thread on a 2-core machine
+# and shared contexts, medians of 5 alternating scoring processes (each the
+# best of 40 passes, 5 for bulk) of the three benchmark score sets at 512 /
+# 1024: 24.2 / 22.5 ms (short), 76.8 / 70.7 ms (mixed), 0.95 / 0.77 s (bulk).
+# 1024 is faster on all three, but it raised each process's peak RSS from
+# 53.1 to 60.0 MB (short), 53.7 to 60.9 MB (mixed) and 66.6 to 70.7 MB
+# (bulk), so 512 stays and no scoring layer holds more rows than before.
 SCORE_TOKENS = 512
 
 VARIANTS = {
@@ -203,8 +212,13 @@ def cfa_condition(h: Tensor, lengths, v_k: Tensor, gamma_w, gamma_b, beta_w, bet
     return ad.scale_shift_rows(h, gamma, beta, lengths)
 
 
-def head_concat(h_m: Tensor, lengths, v_k: Tensor) -> Tensor:
-    return ad.concat([ad.maxpool_time(h_m, lengths), v_k], axis=1)
+def head_concat(h_m: Tensor, lengths, v_k: Tensor, ctx=None) -> Tensor:
+    """Each sentence's maxpool beside its keyword row of v_k. With `ctx`, the
+    sentences are contexts and example i reads the pool of context ctx[i]."""
+    pooled = ad.maxpool_time(h_m, lengths)
+    if ctx is not None:
+        pooled = ad.take_rows(pooled, ctx)
+    return ad.concat([pooled, v_k], axis=1)
 
 
 def head_attention(h_m: Tensor, lengths, v_k: Tensor, anchors,
@@ -262,9 +276,10 @@ class Model:
         An anchor outside its sentence raises ValueError."""
         cfg, p = self.config, self.params
         conv_act = ACTIVATIONS[cfg.conv_act]
-        lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
-        anchors = np.array([ex.anchor for ex in examples], dtype=np.intp)
-        tokens = [t for ex in examples for t in ex.tokens]
+        contexts, ctx = _contexts(examples)
+        lengths = np.array([len(ex.tokens) for ex in contexts], dtype=np.intp)
+        anchors = np.array([ex.anchor for ex in contexts], dtype=np.intp)
+        tokens = [t for ex in contexts for t in ex.tokens]
         h = encode(tokens, lengths, anchors, self.emb, self.pos, self.words)
         v_k = keyword_repr([ex.keywords for ex in examples], self.emb, self.words)
 
@@ -272,6 +287,7 @@ class Model:
         for i in range(1, cfg.layers + 1):
             h = cnn_layer(h, lengths, self._layer_windows(i), conv_act)
             if i in cfa_at:
+                h, lengths, anchors, ctx = _hand_out(h, lengths, anchors, ctx)
                 h = cfa_condition(
                     h, lengths, v_k,
                     p[f"cfa{i}.gamma.w"], p[f"cfa{i}.gamma.b"],
@@ -280,8 +296,9 @@ class Model:
                 )
 
         if cfg.head == "concat":
-            r = head_concat(h, lengths, v_k)
+            r = head_concat(h, lengths, v_k, ctx)
         else:
+            h, lengths, anchors, ctx = _hand_out(h, lengths, anchors, ctx)
             r = head_attention(
                 h, lengths, v_k, anchors,
                 p["attn.u.w"], p["attn.u.b"], p["attn.c.w"], p["attn.c.b"],
@@ -320,20 +337,60 @@ class Model:
     def logits_batch(self, examples) -> np.ndarray:
         """(len(examples), 2) eval-mode logits: forward_batch without a tape,
         chunk by chunk (see _chunks)."""
-        logits = [self.forward_batch(chunk).data for chunk in _chunks(examples)]
+        # only plain concat keeps one row per context in every layer
+        by_context = self.config.head == "concat" and not self.config.cfa
+        logits = [self.forward_batch(chunk).data
+                  for chunk in _chunks(examples, by_context=by_context)]
         return np.concatenate(logits) if logits else np.zeros((0, 2))
 
 
-def _chunks(examples, budget: int = SCORE_TOKENS):
-    """Consecutive runs of examples of at most `budget` tokens in all; an
-    example longer than that is a run of its own."""
-    chunk, size = [], 0
+def _context(ex):
+    """What an example's rows depend on before the first op that reads V_K."""
+    return tuple(ex.tokens), ex.anchor
+
+
+def _contexts(examples):
+    """The distinct contexts of `examples` as the examples that first show
+    them, and each example's context number; (examples, None) when no two
+    examples share a context."""
+    number: dict = {}
+    firsts, ctx = [], []
     for ex in examples:
-        if chunk and size + len(ex.tokens) > budget:
-            yield chunk
-            chunk, size = [], 0
+        c = number.setdefault(_context(ex), len(number))
+        if c == len(firsts):
+            firsts.append(ex)
+        ctx.append(c)
+    if len(firsts) == len(examples):
+        return examples, None
+    return firsts, np.array(ctx, dtype=np.intp)
+
+
+def _hand_out(h: Tensor, lengths, anchors, ctx):
+    """(h, lengths, anchors, ctx) of contexts turned into those of the
+    examples: each example gets its own copy of its context's rows through
+    one take_rows, whose gradient sums the copies. Unchanged when ctx is None."""
+    if ctx is None:
+        return h, lengths, anchors, None
+    starts = np.cumsum(lengths) - lengths
+    lengths = lengths[ctx]
+    shift = np.repeat(starts[ctx] - (np.cumsum(lengths) - lengths), lengths)
+    return ad.take_rows(h, shift + np.arange(len(shift))), lengths, anchors[ctx], None
+
+
+def _chunks(examples, budget: int = SCORE_TOKENS, by_context: bool = False):
+    """Consecutive runs of examples of at most `budget` tokens in all, or with
+    `by_context`, of at most `budget` tokens of distinct contexts; an example
+    longer than that is a run of its own."""
+    chunk, size, seen = [], 0, set()
+    for ex in examples:
+        key = _context(ex) if by_context else None
+        if key is None or key not in seen:
+            if chunk and size + len(ex.tokens) > budget:
+                yield chunk
+                chunk, size, seen = [], 0, set()
+            size += len(ex.tokens)
+            seen.add(key)
         chunk.append(ex)
-        size += len(ex.tokens)
     if chunk:
         yield chunk
 

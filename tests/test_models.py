@@ -1,6 +1,7 @@
 """Model building blocks, the four variants, and end-to-end gradients."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,14 @@ def mixed_batch():
     ]
 
 
+def shared_batch():
+    """mixed_batch(), then each of its contexts (tokens and anchor) again in
+    reverse order, with another keyword set and the other label."""
+    batch = mixed_batch()
+    return batch + [replace(ex, keywords=("k2", "k4", "k5"), label=1 - ex.label)
+                    for ex in reversed(batch)]
+
+
 def assert_packed_matches_forward(model, batch):
     ref = np.stack([model.forward(ex).data for ex in batch])
     got = model.logits_batch(batch)
@@ -447,6 +456,21 @@ def test_gradients_match_the_recorded_per_example_forward(case, tape):
     assert err <= 1e-12, f"relative error {err:.3e}"
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_shared_contexts_match_the_per_example_forward_and_tapes(case):
+    # Every context of shared_batch() is scored twice. One forward_batch tape
+    # hands each context's rows to both examples; the gradients must sum
+    # both, as the two examples' own tapes do.
+    model, batch = case_model(case), shared_batch()
+    assert_packed_matches_forward(model, batch)
+    ref = _batch_grads(model, batch, tape_size=1)
+    grads = _forward_batch_grads(model, batch)
+    assert grads.keys() == ref.keys()
+    scale = max(np.abs(v).max() for v in ref.values())
+    err = max(np.abs(grads[k] - ref[k]).max() for k in ref) / scale
+    assert err <= 1e-12, f"relative error {err:.3e}"
+
+
 def test_predict_batch_spans_chunks_and_long_sentences():
     # More tokens than one chunk holds, and one sentence longer than a chunk.
     long_n = SCORE_TOKENS + 40
@@ -461,6 +485,23 @@ def test_predict_batch_spans_chunks_and_long_sentences():
     assert [len(c) for c in chunks if len(c[0].tokens) == long_n] == [1]
     model = Model(tiny_config(windows=(2, 5)), tiny_emb())
     assert_packed_matches_forward(model, batch)
+
+
+def test_concat_chunks_count_each_context_once():
+    # Plain concat hands its contexts' rows out only after pooling, so its
+    # chunks hold SCORE_TOKENS tokens of distinct contexts and every layer at
+    # most that many rows; other models hand rows out, and count each example.
+    long = LFKExample([f"w{i % 12}" for i in range(SCORE_TOKENS + 40)], 3, ("k1",), 1)
+    batch = shared_batch() * 8 + [long, replace(long, keywords=("k2",)), long] + shared_batch()
+    by_example = list(_chunks(batch))
+    chunks = list(_chunks(batch, by_context=True))
+    assert [ex for c in chunks for ex in c] == batch
+    assert 2 < len(chunks) < len(by_example)
+    for c in chunks:
+        contexts = {(tuple(ex.tokens), ex.anchor): len(ex.tokens) for ex in c}
+        assert len(contexts) == 1 or sum(contexts.values()) <= SCORE_TOKENS
+    assert [c for c in chunks if long in c] == [[long, replace(long, keywords=("k2",)), long]]
+    assert_packed_matches_forward(case_model("concat"), batch)
 
 
 def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
@@ -489,6 +530,44 @@ def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
     calls.clear()
     model.logits_batch(mixed_batch())
     assert calls == ["conv1d_tables", "conv1d_same"]
+
+
+# The ops one training example records, in order, before contexts were
+# shared; case_model's two layers, windows (2, 5).
+STEP_OPS = {
+    "attention-cfa": "take_rows concat conv1d_same tanh affine sigmoid affine sigmoid "
+                     "scale_shift_rows conv1d_same tanh affine sigmoid affine sigmoid "
+                     "scale_shift_rows linear_rows tanh take_rows concat affine tanh "
+                     "row_scores softmax weighted_row_sum mul affine tanh affine take_rows "
+                     "cross_entropy mul",
+    "concat": "take_rows concat conv1d_same tanh conv1d_same tanh maxpool_time concat mul "
+              "affine tanh affine take_rows cross_entropy mul",
+}
+
+
+@pytest.mark.parametrize("case,hand_out_before", [("attention-cfa", "affine"),
+                                                  ("concat", "concat")])
+def test_shared_contexts_add_one_take_rows_and_nothing_else(monkeypatch, case, hand_out_before):
+    recorded = []
+    record = Tape._record
+    monkeypatch.setattr(Tape, "_record", lambda tape, rule: (
+        recorded.append(rule.__qualname__.split(".")[0]), record(tape, rule)))
+    model = case_model(case)
+    nine = [LFKExample([f"w{i}" for i in range(9)], a, ("k0", "k1"), a % 2) for a in (0, 4)]
+    batch_gradients(model, model.named_params().values(), nine, rng_for(0, "dropout", 1))
+    assert recorded == STEP_OPS[case].split() * 2
+
+    def forward_ops(batch):
+        recorded.clear()
+        with Tape():
+            model.forward_batch(batch, train=True, rng=rng_for(0, "dropout", 1))
+        return list(recorded)
+
+    distinct = forward_ops(nine)
+    # the first op that reads V_K gets each example's rows from one take_rows
+    at = distinct.index(hand_out_before, distinct.index("tanh"))
+    shared = forward_ops([nine[0], replace(nine[0], keywords=("k2",))])
+    assert shared == distinct[:at] + ["take_rows"] + distinct[at:]
 
 
 def test_predict_batch_anchor_out_of_range_raises():

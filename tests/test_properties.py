@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,21 @@ def sentences(draw):
     return LFKExample(tokens, anchor, tuple(sorted(keywords)), draw(st.integers(0, 1)))
 
 
+@st.composite
+def batches(draw):
+    """1-6 examples; each may copy an earlier example's tokens and anchor
+    with its own keyword set and label, so that the two share a context."""
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        ex = draw(sentences())
+        if batch and draw(st.booleans()):
+            ex = replace(draw(st.sampled_from(batch)), keywords=ex.keywords, label=ex.label)
+        batch.append(ex)
+    return batch
+
+
 @settings(max_examples=40, deadline=None)
-@given(batch=st.lists(sentences(), min_size=1, max_size=6),
+@given(batch=batches(),
        windows=st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
        variant=st.sampled_from(["concat", "attention", "concat-cfa", "attention-cfa"]),
        layers=st.integers(1, 2))
