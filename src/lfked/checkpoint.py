@@ -6,15 +6,21 @@ vectors are not copied into the checkpoint), and every parameter tensor as
 shape + base64 of little-endian float64 bytes. The layout is byte-stable:
 saving the same state twice produces identical files.
 
-The embedding reference holds the file's path and, when a path was given at
-save time, its sha256. Loading reads the vectors from that path or from an
-override path, and refuses a file whose digest differs from the stored one.
+The embedding reference holds the file's path, relative to the checkpoint's
+directory, and, when a path was given at save time, its sha256. So a run tree
+loads from any working directory, and two copies of one tree hold the same
+bytes. Loading reads the vectors from that path or from an override path, and
+refuses a file whose digest differs from the stored one. A relative path
+stored before paths were kept relative to the checkpoint was relative to the
+training process's working directory: when no file lies at it beside the
+checkpoint but one does from the working directory, that one is read.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -72,9 +78,22 @@ def _decode_array(entry: _Array) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(entry.shape).copy()
 
 
-def _emb_meta(emb: EmbeddingTable, emb_path) -> dict:
-    path, digest = (str(emb_path), sha256_file(emb_path)) if emb_path else (None, None)
+def _emb_meta(emb: EmbeddingTable, emb_path, ck_path) -> dict:
+    path = digest = None
+    if emb_path:
+        path = os.path.relpath(str(emb_path), os.path.dirname(os.path.abspath(ck_path)))
+        digest = sha256_file(emb_path)
     return asdict(_EmbeddingRef(path, emb.dim, emb.oov_policy, emb.seed, digest))
+
+
+def _stored_path(ck_path, stored: str) -> str:
+    """The file a stored embedding path names (see the module docstring).
+    Joined lexically, as save_checkpoint made it relative, so that a symlink
+    to the run directory does not move the file it finds."""
+    beside = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(ck_path)), stored))
+    if not os.path.isabs(stored) and not os.path.exists(beside) and os.path.exists(stored):
+        return stored
+    return beside
 
 
 def save_checkpoint(model, path, emb_path=None):
@@ -89,7 +108,7 @@ def save_checkpoint(model, path, emb_path=None):
         "format": FORMAT,
         "kind": kind,
         "config": config,
-        "embeddings": _emb_meta(model.emb, emb_path),
+        "embeddings": _emb_meta(model.emb, emb_path, path),
         "params": {k: _encode_array(t.data) for k, t in model.named_params().items()},
     }
     if kind == "cnn" and model.words is not None:
@@ -102,10 +121,16 @@ def save_checkpoint(model, path, emb_path=None):
 def _resolve_embeddings(ck_path, meta: _EmbeddingRef, emb: EmbeddingTable | None,
                         emb_path=None) -> EmbeddingTable:
     if emb is None:
-        path = emb_path or meta.path
-        if not path:
+        if emb_path:
+            path = str(emb_path)
+        elif meta.path:
+            path = _stored_path(ck_path, meta.path)
+        else:
             raise ValueError(f"{ck_path}: checkpoint stores no embedding path; "
                              "pass the embedding table")
+        if not os.path.isfile(path):
+            raise ValueError(f"{ck_path}: embedding file {path} not found; pass --embeddings "
+                             "to read the vectors from another file")
         expected, actual = meta.sha256, sha256_file(path)
         if expected is not None and actual != expected:
             raise ValueError(f"embedding file {path} has sha256 {actual}, but the checkpoint "

@@ -203,8 +203,8 @@ def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
     anchors = np.asarray(anchors, dtype=np.intp)
     check_anchors(anchors, lengths)
     offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths + anchors, lengths)
-    first: dict[str, int] = {}
-    word_index = np.array([first.setdefault(t, len(first)) for t in tokens], dtype=np.intp)
+    first = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+    word_index = np.fromiter(map(first.__getitem__, tokens), dtype=np.intp, count=len(tokens))
     return [(pos.table, pos.row_indices(offsets)), (word_rows(list(first), emb, words), word_index)]
 
 

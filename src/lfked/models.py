@@ -25,7 +25,17 @@ contexts are encoded and convolved once each: at the first op that reads
 V_K, one `take_rows` gives each example its context's rows (for the concat
 head, its pooled row), and on a tape it sums the gradients of the examples
 that share a context. A batch of distinct contexts, such as every training
-forward of one example, records no extra op. On the tape the forward is
+forward of one example, records no extra op. When nothing reads the last CNN
+layer's rows but the concat head's maxpool (no CFA step after that layer),
+the layer records its convolution alone and the head activates the pooled
+row of each context: one activation per context, not per token. This is
+exact for the activations in NONDECREASING, whose values never fall from one
+float to the next, so per column the max of act(x) is act of the max of x,
+bit for bit. Sigmoid can fall, so it keeps the activate-then-pool order. The
+backward sends a column's gradient to the first row of largest input rather
+than of largest output; these differ only where the activation maps two
+inputs to one value: saturated tanh or relu's zeros, whose gradient is zero,
+or inputs a few floats apart. On the tape the forward is
 what training runs, one example at a time through `Model.forward`; without
 a tape, `Model.predict_batch` runs it over chunks of up to SCORE_TOKENS rows
 in the widest layer (see _chunks).
@@ -60,6 +70,13 @@ ACTIVATIONS = {
     "relu": ad.relu,
     "identity": ad.identity,
 }
+
+# The activations whose floating-point values never decrease, so that per
+# column max(act(x)) == act(max(x)) bit for bit and plain concat may pool
+# before it activates. Not sigmoid: the e / (1 + e) branch of ad.sigmoid
+# falls at some adjacent floats below 0 (x = -1.9311779748190396 maps higher
+# than the next float up).
+NONDECREASING = frozenset({"tanh", "relu", "identity"})
 
 HEADS = ("concat", "attention")
 
@@ -212,10 +229,11 @@ def cfa_condition(h: Tensor, lengths, v_k: Tensor, gamma_w, gamma_b, beta_w, bet
     return ad.scale_shift_rows(h, gamma, beta, lengths)
 
 
-def head_concat(h_m: Tensor, lengths, v_k: Tensor, ctx=None) -> Tensor:
-    """Each sentence's maxpool beside its keyword row of v_k. With `ctx`, the
-    sentences are contexts and example i reads the pool of context ctx[i]."""
-    pooled = ad.maxpool_time(h_m, lengths)
+def head_concat(h_m: Tensor, lengths, v_k: Tensor, ctx=None, act=ad.identity) -> Tensor:
+    """Each sentence's maxpool, through `act`, beside its keyword row of v_k.
+    With `ctx`, the sentences are contexts and example i reads the pool of
+    context ctx[i]."""
+    pooled = act(ad.maxpool_time(h_m, lengths))
     if ctx is not None:
         pooled = ad.take_rows(pooled, ctx)
     return ad.concat([pooled, v_k], axis=1)
@@ -269,14 +287,15 @@ class Model:
                 for w in self.config.windows]
 
     def forward_batch(self, examples, train: bool = False, rng=None,
-                      aux: dict | None = None) -> Tensor:
+                      aux: dict | None = None, keys=None) -> Tensor:
         """(len(examples), 2) logits. The sentences are packed row after row
         into one matrix; see the module docstring. Training mode applies
         inverted dropout to R and requires an rng; eval mode is deterministic.
-        An anchor outside its sentence raises ValueError."""
+        `keys`, if given, holds each example's _context. An anchor outside its
+        sentence raises ValueError."""
         cfg, p = self.config, self.params
         conv_act = ACTIVATIONS[cfg.conv_act]
-        contexts, ctx = _contexts(examples)
+        contexts, ctx = _contexts(examples, keys)
         lengths = np.array([len(ex.tokens) for ex in contexts], dtype=np.intp)
         anchors = np.array([ex.anchor for ex in contexts], dtype=np.intp)
         tokens = [t for ex in contexts for t in ex.tokens]
@@ -284,8 +303,12 @@ class Model:
         v_k = keyword_repr([ex.keywords for ex in examples], self.emb, self.words)
 
         cfa_at = set(cfg.cfa_layers())
+        # the last layer's activation moves past the pooling (see NONDECREASING)
+        pool_first = (cfg.head == "concat" and cfg.layers not in cfa_at
+                      and cfg.conv_act in NONDECREASING)
         for i in range(1, cfg.layers + 1):
-            h = cnn_layer(h, lengths, self._layer_windows(i), conv_act)
+            act = ad.identity if pool_first and i == cfg.layers else conv_act
+            h = cnn_layer(h, lengths, self._layer_windows(i), act)
             if i in cfa_at:
                 h, lengths, anchors, ctx = _hand_out(h, lengths, anchors, ctx)
                 h = cfa_condition(
@@ -296,7 +319,7 @@ class Model:
                 )
 
         if cfg.head == "concat":
-            r = head_concat(h, lengths, v_k, ctx)
+            r = head_concat(h, lengths, v_k, ctx, conv_act if pool_first else ad.identity)
         else:
             h, lengths, anchors, ctx = _hand_out(h, lengths, anchors, ctx)
             r = head_attention(
@@ -339,8 +362,8 @@ class Model:
         chunk by chunk (see _chunks)."""
         # only plain concat keeps one row per context in every layer
         by_context = self.config.head == "concat" and not self.config.cfa
-        logits = [self.forward_batch(chunk).data
-                  for chunk in _chunks(examples, by_context=by_context)]
+        logits = [self.forward_batch(chunk, keys=keys).data
+                  for chunk, keys in _chunks(examples, by_context=by_context)]
         return np.concatenate(logits) if logits else np.zeros((0, 2))
 
 
@@ -349,14 +372,14 @@ def _context(ex):
     return tuple(ex.tokens), ex.anchor
 
 
-def _contexts(examples):
-    """The distinct contexts of `examples` as the examples that first show
-    them, and each example's context number; (examples, None) when no two
-    examples share a context."""
+def _contexts(examples, keys=None):
+    """The distinct contexts of `examples` (whose _context keys are `keys`,
+    if given) as the examples that first show them, and each example's
+    context number; (examples, None) when no two examples share a context."""
     number: dict = {}
     firsts, ctx = [], []
-    for ex in examples:
-        c = number.setdefault(_context(ex), len(number))
+    for ex, key in zip(examples, map(_context, examples) if keys is None else keys):
+        c = number.setdefault(key, len(number))
         if c == len(firsts):
             firsts.append(ex)
         ctx.append(c)
@@ -378,21 +401,24 @@ def _hand_out(h: Tensor, lengths, anchors, ctx):
 
 
 def _chunks(examples, budget: int = SCORE_TOKENS, by_context: bool = False):
-    """Consecutive runs of examples of at most `budget` tokens in all, or with
-    `by_context`, of at most `budget` tokens of distinct contexts; an example
-    longer than that is a run of its own."""
-    chunk, size, seen = [], 0, set()
+    """Consecutive runs of examples, each with its examples' _context keys,
+    of at most `budget` tokens in all, or with `by_context`, of at most
+    `budget` tokens of distinct contexts; an example longer than that is a
+    run of its own."""
+    chunk, keys, size, seen = [], [], 0, set()
     for ex in examples:
-        key = _context(ex) if by_context else None
-        if key is None or key not in seen:
+        key = _context(ex)
+        if key not in seen:
             if chunk and size + len(ex.tokens) > budget:
-                yield chunk
-                chunk, size, seen = [], 0, set()
+                yield chunk, keys
+                chunk, keys, size, seen = [], [], 0, set()
             size += len(ex.tokens)
-            seen.add(key)
+            if by_context:
+                seen.add(key)
         chunk.append(ex)
+        keys.append(key)
     if chunk:
-        yield chunk
+        yield chunk, keys
 
 
 def identity_cfa_surgery(model: Model):

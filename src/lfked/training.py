@@ -12,6 +12,8 @@ backward at once, so only one example's activations are alive at a time.
 The step then checks the summed loss and applies Adadelta, whose read of each
 weight's `.grad` sums the gradient factors the backwards queued on it.
 Each epoch's log line carries the process's peak resident memory so far.
+An optional `on_step` callback gets a StepInfo after each step; without one,
+the loop reads no clock per step.
 """
 
 from __future__ import annotations
@@ -132,6 +134,25 @@ def peak_rss_mb() -> float:
 
 
 @dataclass
+class StepInfo:
+    """One training step, as `train` reports it to `on_step`. The seconds
+    split the step from `started` (a time.perf_counter() reading) to its end,
+    `seconds` later; what they leave out is zeroing and loop overhead."""
+    epoch: int
+    step: int                   # 0-based, within the epoch
+    examples: int
+    rows: int                   # tokens of the step's examples
+    started: float
+    tapes: int = 0
+    forward_s: float = 0.0
+    backward_s: float = 0.0
+    optimizer_s: float = 0.0    # 0 for a non-finite step: training stops before it
+    seconds: float = 0.0
+    loss: float = 0.0           # the sum of the examples' losses
+    finite: bool = True
+
+
+@dataclass
 class TrainResult:
     best_epoch: int
     best_f1: float
@@ -164,26 +185,39 @@ def _epoch_examples(examples, config: TrainConfig, epoch: int):
     return [pool[i] for i in order]
 
 
-def batch_gradients(model, params, batch, rng) -> float:
+def _no_clock() -> float:
+    return 0.0
+
+
+def batch_gradients(model, params, batch, rng, info: StepInfo | None = None) -> float:
     """Set each parameter's `.grad` to the gradient of the batch's mean
     training loss, one example per tape (see the module docstring), and
-    return the sum of the examples' losses, added in batch order."""
+    return the sum of the examples' losses, added in batch order. With
+    `info`, also set its tapes and its forward and backward seconds."""
+    clock = _no_clock if info is None else time.perf_counter
     scale = Tensor(1.0 / len(batch))
-    total = 0.0
+    total = forward_s = backward_s = 0.0
     zero_grads(params)
     for ex in batch:
+        t0 = clock()
         with Tape() as tape:
             loss = model.loss(ex, train=True, rng=rng)
+            t1 = clock()
             tape.backward(mul(loss, scale))
+        forward_s += t1 - t0
+        backward_s += clock() - t1
         total += float(loss.data)
+    if info is not None:
+        info.tapes, info.forward_s, info.backward_s = len(batch), forward_s, backward_s
     return total
 
 
 def train(model, train_examples, dev_examples, config: TrainConfig,
-          log_path=None, progress=None) -> TrainResult:
+          log_path=None, progress=None, on_step=None) -> TrainResult:
     """Train until the epoch budget or patience runs out; the model is left
     holding the parameters of the best dev-F1 epoch (ties keep the earlier
-    epoch)."""
+    epoch). `on_step(info)`, if given, is called with a StepInfo after each
+    optimizer step, and for a non-finite step before NumericError."""
     config.validate()
     if not train_examples or not dev_examples:
         raise ValueError("train and dev datasets must be non-empty")
@@ -207,15 +241,25 @@ def train(model, train_examples, dev_examples, config: TrainConfig,
             examples = _epoch_examples(train_examples, config, epoch)
 
             loss_sum = 0.0
-            for start in range(0, len(examples), config.batch_size):
+            for step, start in enumerate(range(0, len(examples), config.batch_size)):
                 batch = examples[start : start + config.batch_size]
-                total = batch_gradients(model, named.values(), batch, dropout_rng)
-                if not np.isfinite(total):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                    )
-                loss_sum += total
-                opt.step()
+                info = None if on_step is None else StepInfo(
+                    epoch, step, len(batch), sum(len(ex.tokens) for ex in batch),
+                    time.perf_counter())
+                total = batch_gradients(model, named.values(), batch, dropout_rng, info)
+                finite = bool(np.isfinite(total))
+                if finite:
+                    loss_sum += total
+                    optimizer_started = 0.0 if info is None else time.perf_counter()
+                    opt.step()
+                if info is not None:
+                    ended = time.perf_counter()
+                    if finite:
+                        info.optimizer_s = ended - optimizer_started
+                    info.seconds, info.loss, info.finite = ended - info.started, total, finite
+                    on_step(info)
+                if not finite:
+                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
 
             report = evaluate(model, dev_examples)
             entry = EpochLog(

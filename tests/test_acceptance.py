@@ -360,16 +360,14 @@ def test_c10_rerun_determinism(tmp_path, capsys):
                        "--data", data / "test.jsonl", "--json",
                        "--out", report) == 0
 
-    # identical inputs both times; only the output location differs
+    # two copies of one run tree: the same commands, each tree reading only
+    # its own files (a checkpoint stores its embedding path relative to itself)
     a, b = tmp_path / "a", tmp_path / "b"
-    synth(a / "synth")
-    synth(b / "synth")
-    gen(a / "synth", a / "lfk")
-    gen(a / "synth", b / "lfk")
-    fit(a / "synth", a / "lfk", a / "run")
-    fit(a / "synth", a / "lfk", b / "run")
-    score(a / "run", a / "lfk", a / "report.json")
-    score(a / "run", a / "lfk", b / "report.json")
+    for tree in (a, b):
+        synth(tree / "synth")
+        gen(tree / "synth", tree / "lfk")
+        fit(tree / "synth", tree / "lfk", tree / "run")
+        score(tree / "run", tree / "lfk", tree / "report.json")
 
     checked = []
     for rel in ("synth/corpus_train.jsonl", "synth/corpus_dev.jsonl",

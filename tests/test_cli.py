@@ -270,8 +270,8 @@ def test_train_manifest_has_input_digests(run_dir, data_dir):
     assert "best_dev_f1" in manifest["config"]
 
 
-def test_train_rerun_reproduces_checkpoint(synth_dir, data_dir, run_dir, tmp_path):
-    again = tmp_path / "again"
+def test_train_rerun_reproduces_checkpoint(synth_dir, data_dir, run_dir, tmp_path_factory):
+    again = tmp_path_factory.mktemp("again")      # beside run_dir, as the stored path is relative
     rc = run_cli(
         "train", "--model", "attention-cfa", "--data-dir", data_dir,
         "--embeddings", synth_dir / "embeddings.txt", "--out", again, *TINY_NET,
@@ -520,6 +520,61 @@ def test_eval_refuses_a_changed_embedding_file(synth_dir, data_dir, tmp_path, ca
     assert "sha256" in err and sha256_file(same) in err and sha256_file(emb_path) in err
     assert run_cli("eval", "--checkpoint", out / "model.ckpt",
                    "--data", data_dir / "test.jsonl", "--embeddings", same) == 0
+
+
+def train_in_tree(monkeypatch, synth_dir, data_dir, tree, absolute=False):
+    """Train concat into tree/run with the working directory at `tree`, from
+    a copy of the embeddings at tree/synth/embeddings.txt, named relative to
+    `tree` or absolute."""
+    (tree / "synth").mkdir(parents=True)
+    (tree / "synth" / "embeddings.txt").write_bytes((synth_dir / "embeddings.txt").read_bytes())
+    monkeypatch.chdir(tree)
+    emb = tree / "synth" / "embeddings.txt" if absolute else Path("synth", "embeddings.txt")
+    assert run_cli("train", "--model", "concat", "--data-dir", data_dir,
+                   "--embeddings", emb, "--out", "run", *TINY_NET) == 0
+    return tree / "run" / "model.ckpt"
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_checkpoint_evaluates_from_any_directory(
+        synth_dir, data_dir, tmp_path, monkeypatch, capsys, absolute):
+    ckpt = train_in_tree(monkeypatch, synth_dir, data_dir, tmp_path / "tree", absolute)
+    stored = json.loads(ckpt.read_text())["embeddings"]["path"]
+    assert stored == str(Path("..", "synth", "embeddings.txt"))
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    capsys.readouterr()
+    for checkpoint in (ckpt, Path("..", "tree", "run", "model.ckpt")):
+        assert run_cli("eval", "--checkpoint", checkpoint, "--data", data_dir / "test.jsonl",
+                       "--json") == 0
+        assert json.loads(capsys.readouterr().out)["tp"] >= 0
+
+
+def test_eval_names_a_missing_embedding_file(synth_dir, data_dir, tmp_path, monkeypatch,
+                                             capsys):
+    ckpt = train_in_tree(monkeypatch, synth_dir, data_dir, tmp_path)
+    (tmp_path / "synth" / "embeddings.txt").unlink()
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data_dir / "test.jsonl") == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and str(tmp_path / "synth" / "embeddings.txt") in err
+    assert "--embeddings" in err
+
+
+def test_old_relative_embedding_path_reads_from_the_working_directory(
+        synth_dir, data_dir, tmp_path, monkeypatch, capsys):
+    # Checkpoints once stored the path as given to train, relative to its
+    # working directory; one with no file beside it still loads from there.
+    tree = tmp_path / "tree"
+    ckpt = train_in_tree(monkeypatch, synth_dir, data_dir, tree)
+    doc = json.loads(ckpt.read_text())
+    doc["embeddings"]["path"] = str(Path("synth", "embeddings.txt"))
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data_dir / "test.jsonl") == 0
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data_dir / "test.jsonl") == 2
+    assert str(tree / "run" / "synth" / "embeddings.txt") in capsys.readouterr().err
 
 
 def test_eval_finetune_words_scores_unseen_tokens(synth_dir, data_dir, tmp_path, capsys):

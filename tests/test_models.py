@@ -13,6 +13,7 @@ from lfked.corpus import LFKExample
 from lfked.encoding import EmbeddingTable, WordTable
 from lfked.models import (
     ACTIVATIONS,
+    NONDECREASING,
     SCORE_TOKENS,
     Model,
     ModelConfig,
@@ -192,6 +193,46 @@ def test_head_concat():
     assert single.data.tolist() == [[4.0, 6.0, 7.0, 8.0, 9.0]]
 
 
+def adjacent_floats():
+    """Sorted runs of 2000 adjacent floats on each side of 0, the subnormal
+    and normal boundary, the regions where sigmoid's e / (1 + e) branch
+    falls, where tanh saturates (near 19.06) and where exp overflows, and
+    the largest finite floats; with both zeros and both infinities."""
+    centers = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-8, 0.5, 1.0,
+                        1.9311779748190396, 19.06, 36.0, 709.8, 1.7976931348623157e308])
+    runs = [np.concatenate([centers, -centers])]
+    with np.errstate(over="ignore"):     # the largest floats step to inf
+        for toward in (np.inf, -np.inf):
+            x = runs[0]
+            for _ in range(2000):
+                x = np.nextafter(x, toward)
+                runs.append(x)
+    return np.sort(np.concatenate(runs + [np.array([-0.0, 0.0, np.inf, -np.inf])]))
+
+
+def test_pool_first_activations_never_decrease():
+    # models.NONDECREASING lets plain concat pool before its last activation;
+    # that is exact only if max(act(x)) is act(max(x)) bit for bit
+    assert NONDECREASING <= set(ACTIVATIONS) and "sigmoid" not in NONDECREASING
+    grid = adjacent_floats()
+    for name in sorted(NONDECREASING):
+        y = ACTIVATIONS[name](Tensor(grid)).data
+        assert (y[1:] >= y[:-1]).all(), name
+    falls = ACTIVATIONS["sigmoid"](Tensor(grid)).data
+    assert (falls[1:] < falls[:-1]).any()
+
+    rng = rng_for(5, "pool-first")
+    lengths = [1, 2, 7, 40]
+    rows = grid[rng.integers(len(grid), size=(sum(lengths), 300))]
+    rows[rng.random(rows.shape) < 0.002] = np.nan
+    rows[:, :20] = rng.choice([-0.0, 0.0, -5e-324, 5e-324], size=(len(rows), 20))
+    for name in sorted(NONDECREASING):
+        act = ACTIVATIONS[name]
+        pooled_last = ad.maxpool_time(act(Tensor(rows)), lengths).data
+        pooled_first = act(ad.maxpool_time(Tensor(rows), lengths)).data
+        assert np.array_equal(pooled_last.view(np.uint64), pooled_first.view(np.uint64)), name
+
+
 def attention_params(rng, F=4, d=3, hidden=6):
     return (
         Tensor(rng.normal(size=(F, hidden))),
@@ -279,41 +320,48 @@ def test_train_forward_needs_rng_and_applies_dropout():
 
 def test_concat_pipeline_matches_hand_wired_oracle():
     # cfa off, concat head: wire the same computation directly from autodiff
-    # ops and compare.
-    cfg = tiny_config(head="concat", cfa=False, layers=2)
-    emb = tiny_emb()
-    model = Model(cfg, emb)
-    ex = example(n=6, anchor=3)
-    got = model.forward(ex).data
-
+    # ops, activating before the pooling, and compare.
     from lfked.encoding import encode, keyword_repr
 
-    h = gathered(encode(ex.tokens, [len(ex.tokens)], [ex.anchor], emb, model.pos))
-    v_k = keyword_repr([ex.keywords], emb)
-    p = model.params
-    for i in (1, 2):
-        h = ad.concat(
-            [ad.tanh(ad.conv1d_same(h, [(p[f"conv{i}.w{w}.filters"], p[f"conv{i}.w{w}.bias"])]))
-             for w in cfg.windows],
-            axis=1,
-        )
-    r = ad.concat([ad.maxpool_time(h), v_k], axis=1)
-    hidden = ad.tanh(ad.affine(p["ffn.hidden.w"], r, p["ffn.hidden.b"]))
-    want = ad.affine(p["ffn.out.w"], hidden, p["ffn.out.b"]).data[0]
-    assert (got == want).all()
+    emb = tiny_emb()
+    ex = example(n=6, anchor=3)
+    for conv_act in ("tanh", "relu", "sigmoid"):
+        cfg = tiny_config(head="concat", cfa=False, layers=2, conv_act=conv_act)
+        act = ACTIVATIONS[conv_act]
+        model = Model(cfg, emb)
+        got = model.forward(ex).data
+
+        h = gathered(encode(ex.tokens, [len(ex.tokens)], [ex.anchor], emb, model.pos))
+        v_k = keyword_repr([ex.keywords], emb)
+        p = model.params
+        for i in (1, 2):
+            h = ad.concat(
+                [act(ad.conv1d_same(h, [(p[f"conv{i}.w{w}.filters"], p[f"conv{i}.w{w}.bias"])]))
+                 for w in cfg.windows],
+                axis=1,
+            )
+        r = ad.concat([ad.maxpool_time(h), v_k], axis=1)
+        hidden = act(ad.affine(p["ffn.hidden.w"], r, p["ffn.hidden.b"]))
+        want = ad.affine(p["ffn.out.w"], hidden, p["ffn.out.b"]).data[0]
+        assert (got == want).all(), conv_act
 
 
 def test_identity_cfa_surgery_bitwise_equality():
+    # concat-cfa conditions its last layer, so it activates before pooling
+    # where plain concat pools first; with cfa_last off both pool first
     emb = tiny_emb()
-    for head in ("concat", "attention"):
-        plain = Model(tiny_config(head=head, cfa=False), emb)
-        conditioned = Model(tiny_config(head=head, cfa=True, cfa_act="identity"), emb)
-        identity_cfa_surgery(conditioned)
-        for n, anchor in ((1, 0), (5, 2), (8, 7)):
-            ex = example(n=n, anchor=anchor)
-            a = plain.forward(ex).data
-            b = conditioned.forward(ex).data
-            assert (a == b).all(), (head, n)
+    for conv_act in ("tanh", "relu", "sigmoid"):
+        for head, cfa_last in (("concat", True), ("attention", True), ("concat", False)):
+            plain = Model(tiny_config(head=head, cfa=False, conv_act=conv_act), emb)
+            conditioned = Model(tiny_config(head=head, cfa=True, cfa_act="identity",
+                                            cfa_last=cfa_last, layers=2, conv_act=conv_act),
+                                emb)
+            identity_cfa_surgery(conditioned)
+            for n, anchor in ((1, 0), (5, 2), (8, 7)):
+                ex = example(n=n, anchor=anchor)
+                a = plain.forward(ex).data
+                b = conditioned.forward(ex).data
+                assert (a == b).all(), (conv_act, head, cfa_last, n)
 
 
 def test_surgery_requires_identity_activation():
@@ -477,7 +525,7 @@ def test_predict_batch_spans_chunks_and_long_sentences():
     batch = mixed_batch() * 4 + [
         LFKExample([f"w{i % 12}" for i in range(long_n)], long_n - 1, ("k1",), 1)
     ] + mixed_batch()
-    chunks = list(_chunks(batch))
+    chunks = [c for c, _ in _chunks(batch)]
     assert [ex for c in chunks for ex in c] == batch
     assert len(chunks) > 2
     for c in chunks:
@@ -494,8 +542,10 @@ def test_concat_chunks_count_each_context_once():
     long = LFKExample([f"w{i % 12}" for i in range(SCORE_TOKENS + 40)], 3, ("k1",), 1)
     batch = shared_batch() * 8 + [long, replace(long, keywords=("k2",)), long] + shared_batch()
     by_example = list(_chunks(batch))
-    chunks = list(_chunks(batch, by_context=True))
+    chunks = [c for c, _ in _chunks(batch, by_context=True)]
     assert [ex for c in chunks for ex in c] == batch
+    assert all(keys == [(tuple(ex.tokens), ex.anchor) for ex in c]
+               for c, keys in _chunks(batch, by_context=True))
     assert 2 < len(chunks) < len(by_example)
     for c in chunks:
         contexts = {(tuple(ex.tokens), ex.anchor): len(ex.tokens) for ex in c}
@@ -533,14 +583,15 @@ def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
 
 
 # The ops one training example records, in order, before contexts were
-# shared; case_model's two layers, windows (2, 5).
+# shared; case_model's two layers, windows (2, 5). Plain concat activates
+# its last layer after pooling (models.NONDECREASING).
 STEP_OPS = {
     "attention-cfa": "take_rows concat conv1d_same tanh affine sigmoid affine sigmoid "
                      "scale_shift_rows conv1d_same tanh affine sigmoid affine sigmoid "
                      "scale_shift_rows linear_rows tanh take_rows concat affine tanh "
                      "row_scores softmax weighted_row_sum mul affine tanh affine take_rows "
                      "cross_entropy mul",
-    "concat": "take_rows concat conv1d_same tanh conv1d_same tanh maxpool_time concat mul "
+    "concat": "take_rows concat conv1d_same tanh conv1d_same maxpool_time tanh concat mul "
               "affine tanh affine take_rows cross_entropy mul",
 }
 

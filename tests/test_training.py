@@ -12,6 +12,7 @@ import pytest
 from lfked import training
 from lfked.autodiff import Tape, Tensor, add, mul, zero_grads
 from lfked.baseline import LinearBaseline
+from lfked.checkpoint import save_checkpoint
 from lfked.corpus import LFKExample
 from lfked.encoding import EmbeddingTable, WordTable
 from lfked.models import Model, ModelConfig
@@ -281,13 +282,72 @@ def test_numeric_error_on_divergence():
 
             return cross_entropy(self.logits, example.label)
 
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
-        train(
-            ExplodingModel(),
-            tiny_examples(),
-            tiny_examples(),
-            TrainConfig(batch_size=2, epochs=1),
-        )
+    # the step is reported to on_step first, and the error reads the same
+    steps = []
+    for on_step in (None, steps.append):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match="^non-finite loss at epoch 1, batch 0$"):
+            train(
+                ExplodingModel(),
+                tiny_examples(),
+                tiny_examples(),
+                TrainConfig(batch_size=2, epochs=1),
+                on_step=on_step,
+            )
+    [info] = steps
+    assert (info.epoch, info.step, info.examples, info.tapes) == (1, 0, 2, 2)
+    assert not info.finite and not np.isfinite(info.loss) and info.optimizer_s == 0.0
+
+
+def cnn_and_data(seed=2):
+    """A tiny attention-cfa model and 11 examples of 3 to 7 tokens."""
+    rng = rng_for(0, "emb")
+    vocab = [f"w{i}" for i in range(8)] + [f"k{i}" for i in range(4)]
+    emb = EmbeddingTable({t: rng.normal(size=8) for t in vocab}, 8)
+    cfg = ModelConfig(head="attention", cfa=True, layers=1, windows=(2, 3), filters=3,
+                      dropout=0.5, word_dim=8, pos_dim=4, max_offset=5,
+                      attn_hidden=6, ffn_hidden=8, seed=seed)
+    data = [
+        LFKExample([f"w{j}" for j in range(3 + i % 5)], i % 3, ("k0", "k1", "k2"), i % 2)
+        for i in range(11)
+    ]
+    return Model(cfg, emb), data
+
+
+def test_on_step_reports_each_step_of_each_epoch():
+    model, data = cnn_and_data()
+    steps = []
+    result = train(model, data, data, TrainConfig(batch_size=4, epochs=3, seed=5),
+                   on_step=steps.append)
+    assert [(s.epoch, s.step) for s in steps] == [(e, i) for e in (1, 2, 3) for i in range(3)]
+    for entry in result.log:
+        epoch = [s for s in steps if s.epoch == entry.epoch]
+        assert len(epoch) == math.ceil(len(data) / 4)
+        assert sum(s.examples for s in epoch) == len(data)
+        assert sum(s.rows for s in epoch) == sum(len(ex.tokens) for ex in data)
+        total = 0.0
+        for s in epoch:         # in step order, as train adds them
+            total += s.loss
+        assert total / len(data) == entry.train_loss
+    for s in steps:
+        assert s.finite and s.tapes == s.examples
+        assert min(s.forward_s, s.backward_s, s.optimizer_s) >= 0.0
+        assert s.forward_s + s.backward_s + s.optimizer_s <= s.seconds
+    assert all(a.started + a.seconds <= b.started for a, b in zip(steps, steps[1:]))
+
+
+def test_on_step_changes_no_checkpoint_byte(tmp_path):
+    def run(name, on_step):
+        model, data = cnn_and_data()
+        log = tmp_path / f"{name}.jsonl"
+        train(model, data, data, TrainConfig(batch_size=4, epochs=3, seed=5),
+              log_path=log, on_step=on_step)
+        save_checkpoint(model, tmp_path / f"{name}.ckpt")
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        return (tmp_path / f"{name}.ckpt").read_bytes(), [
+            {k: v for k, v in r.items() if k not in ("seconds", "peak_rss_mb")} for r in rows]
+
+    assert run("with", lambda info: None) == run("without", None)
 
 
 def test_snapshot_restore_roundtrip():
