@@ -14,11 +14,12 @@ them from one padded copy and one im2col matrix at the widest window.
 `conv1d_tables` runs the same convolution over rows made of table lookups.
 It alone picks how: when the tables have few rows against the lookups
 (TABLE_SHARE), it multiplies each table row it reads by each filter tap
-once; otherwise it gathers the rows and calls `conv1d_same`.
+once; otherwise it writes the rows into `conv1d_same`'s padded layout and
+shares its forward and backward, back-propagating into trainable tables only.
 
-During the reverse replay the rules of `affine` and `conv1d_same` queue the
-factors of their weight's gradient on the weight instead of adding a
-full-size product per call. Reading a tensor's `.grad` first sums its queue,
+During the reverse replay the rules of `affine` and the im2col convolutions
+queue the factors of their weight's gradient on the weight instead of adding
+a full-size product per call. Reading a tensor's `.grad` first sums its queue,
 each weight with one matrix product, so `.grad` is complete whenever it is
 read: by the rule of the op that made a weight, by an optimizer or by a test.
 A training step can thus record and replay one example per tape, freeing
@@ -335,6 +336,58 @@ def _conv_pairs(name, pairs, d_in: int):
     return pairs
 
 
+def _conv_rows(pairs, lengths, n: int, inputs):
+    """conv1d_same of n rows that `inputs` put together: per (tensor, columns,
+    index), the tensor's rows (index None) or the rows index reads. Returns
+    the output, the tape if recording, and the op's backward given the output
+    gradient, which computes the input gradient only of the tensors that
+    require grad and adds it into each: as is, or with one np.add.at."""
+    W, left, start, gapped, n_pad = _layout(pairs, lengths, n)
+    padded = np.zeros((n_pad, sum(cols.stop - cols.start for _, cols, _ in inputs)))
+    for t, cols, index in inputs:
+        padded[left:][start, cols] = t.data if index is None else t.data.take(index, axis=0)
+    d_in = padded.shape[1]
+    windows = np.arange(n_pad - (W - 1))[start]
+    col = padded[windows[:, None] + np.arange(W)].reshape(n, W * d_in)
+    taps = _taps(pairs, left)
+    data = np.empty((n, sum(b.data.shape[0] for _, b in pairs)))
+    for (filt, b), (w, off, cols) in zip(pairs, taps):
+        data[:, cols] = col[:, off * d_in:(off + w) * d_in] @ filt.data.reshape(w * d_in, -1) + b.data
+    out, tape = _out(data, *(t for t, _, _ in inputs), *(t for pair in pairs for t in pair))
+
+    def backward(g):
+        # output gradients by window start row; zero where no window starts
+        g_at = g
+        if gapped:
+            g_at = np.zeros((n_pad - (W - 1), g.shape[1]))
+            g_at[start] = g
+        trained = [(t, cols, index, np.zeros((len(g_at), W, cols.stop - cols.start)))
+                   for t, cols, index in inputs if t.requires_grad]
+        for (filt, b), (w, off, cols) in zip(pairs, taps):
+            if b.requires_grad:
+                b.grad += g[:, cols].sum(axis=0)
+            if filt.requires_grad:
+                _defer(_conv_filters_grad, filt, (padded[off:off + n_pad - (W - w)], g_at[:, cols]))
+            for _, in_cols, _, dcol in trained:
+                f_in = filt.data[:, in_cols]
+                if f_in.flags.c_contiguous:   # all of d_in: one product over all taps
+                    f_in = f_in.reshape(w * dcol.shape[2], -1)
+                    dcol[:, off:off + w] += (g_at[:, cols] @ f_in.T).reshape(len(g_at), w, -1)
+                else:   # one table's columns: one per tap, uncopied, in 0.55x the time
+                    dcol[:, off:off + w] += (g_at[:, cols] @ f_in.transpose(0, 2, 1)).swapaxes(0, 1)
+        for t, _, index, dcol in trained:
+            dpad = np.zeros((n_pad, dcol.shape[2]))
+            # Descending taps add to each row in np.add.at's order, so the
+            # sum is bitwise the same.
+            for j in range(W - 1, -1, -1):
+                dpad[j:j + len(g_at)] += dcol[:, j]
+            if index is None:
+                t.grad += dpad[left:][start]
+            else:
+                np.add.at(t.grad, index, dpad[left:][start])
+    return out, tape, backward
+
+
 def conv1d_same(seq: Tensor, pairs, lengths=None) -> Tensor:
     """1-D convolution over the sequence axis with zero padding, length-preserving,
     of every sentence packed in seq, for one or several window sizes.
@@ -349,62 +402,22 @@ def conv1d_same(seq: Tensor, pairs, lengths=None) -> Tensor:
         raise ShapeError(f"conv1d_same expects an (n,d) sequence, got {seq.shape}")
     n, d_in = seq.data.shape
     pairs = _conv_pairs("conv1d_same", pairs, d_in)
-    W, left, start, gapped, n_pad = _layout(pairs, lengths, n)
-    padded = np.zeros((n_pad, d_in))
-    padded[left:][start] = seq.data
-    windows = np.arange(n_pad - (W - 1))[start]
-    col = padded[windows[:, None] + np.arange(W)].reshape(n, W * d_in)
-    # per window: its im2col columns, the padded rows its windows read, its
-    # output columns, and its filters as a (w*d_in, f) matrix
-    blocks = [(slice(off * d_in, (off + w) * d_in), slice(off, off + n_pad - (W - w)), cols,
-               filt.data.reshape(w * d_in, -1))
-              for (filt, _), (w, off, cols) in zip(pairs, _taps(pairs, left))]
-    stop = blocks[-1][2].stop
-    data = np.empty((n, stop))
-    for (taps, _, cols, w_mat), (_, b) in zip(blocks, pairs):
-        data[:, cols] = col[:, taps] @ w_mat + b.data
-    out, tape = _out(data, seq, *(t for pair in pairs for t in pair))
+    out, tape, backward = _conv_rows(pairs, lengths, n, [(seq, slice(0, d_in), None)])
     if tape is not None:
-        def rule(out=out, seq=seq, pairs=pairs, blocks=blocks, padded=padded, start=start,
-                 gapped=gapped, left=left, W=W, d_in=d_in):
-            g = out.grad
-            # output gradients by window start row; zero where no window starts
-            g_at = g
-            if gapped:
-                g_at = np.zeros((padded.shape[0] - (W - 1), g.shape[1]))
-                g_at[start] = g
-            dcol = np.zeros((len(g_at), W * d_in)) if seq.requires_grad else None
-            for (taps, rows, cols, w_mat), (filt, b) in zip(blocks, pairs):
-                if b.requires_grad:
-                    b.grad += g[:, cols].sum(axis=0)
-                if filt.requires_grad:
-                    _defer(_conv_filters_grad, filt, (padded[rows], g_at[:, cols]))
-                if dcol is not None:
-                    dcol[:, taps] += g_at[:, cols] @ w_mat.T
-            if dcol is not None:
-                dcol = dcol.reshape(len(g_at), W, d_in)
-                dpad = np.zeros(padded.shape)
-                # Descending taps add to each row in np.add.at's order, so
-                # the sum is bitwise the same.
-                for j in range(W - 1, -1, -1):
-                    dpad[j:j + len(g_at)] += dcol[:, j]
-                seq.grad += dpad[left:][start]
-        tape._record(rule)
+        tape._record(lambda: backward(out.grad))
     return out
 
 
 # conv1d_tables multiplies table rows by filter taps when its tables hold at
 # most this share of its K*n lookups (K tables of n indices each), and
-# gathers the rows for conv1d_same otherwise. Layer-1 time of the products
-# over the gather, on 529 chunks of 1-512 tokens of the bulk and short score
-# sets (one BLAS thread, 2-core machine), by the share of distinct rows read:
-# 0.39 below 0.1, 0.64 at 0.2-0.25, 0.82 at 0.35-0.4, 0.98 at 0.4-0.45, 1.02
-# at 0.45-0.5 and 1.59 above 0.8 without a tape, where scoring runs; with
-# one, forward and backward, 0.49, 0.76, 1.03, 1.11, 1.21 and 1.40. A
-# table's own rows bound the distinct rows read, so the gather route counts
-# nothing. Layer 1's position table and distinct words are 0.10-0.14 of the
-# lookups in the median of the benchmark's scoring chunks (largest 0.38),
-# and 0.71 or more of each of its training examples.
+# gathers the rows otherwise. Layer-1 time of the products over the gather,
+# on 268 chunks of 16-512 tokens of the bulk and short score sets (one BLAS
+# thread, 2-core machine), by that share: 0.49 at 0.1-0.2, 0.58 at 0.2-0.25,
+# 0.78 at 0.35-0.4, 0.76 at 0.4-0.45, 1.07 at 0.5-0.8 and 1.40 above 0.8
+# without a tape, where scoring runs; with one, forward and backward, 0.75,
+# 0.89, 1.25, 1.21, 1.50 and 1.71. Layer 1's position table and distinct
+# words are 0.10-0.14 of the lookups in the median of the benchmark's scoring
+# chunks (largest 0.38), and 0.71 or more of each of its training examples.
 TABLE_SHARE = 0.4
 
 
@@ -415,7 +428,9 @@ def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
     row r of the sequence is the rows it indexes, side by side: the result is
     conv1d_same(concat([take_rows(table, index), ...], axis=1), pairs,
     lengths=lengths), d_in being the sum of the d_k. When the tables hold
-    more than TABLE_SHARE of the K*n lookups, that is how it is computed.
+    more than TABLE_SHARE of the K*n lookups, it is computed so, from the rows
+    gathered into conv1d_same's layout, and frozen tables get no gradient
+    (see _conv_rows).
     Otherwise it works from products: a convolution is linear in its rows,
     so tap j of a window applied to row r is the sum over the tables of
     table_k[index_k[r]] @ filters[j][table k's columns]. Per window, each
@@ -434,19 +449,22 @@ def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
         if n and (index.min() < 0 or index.max() >= len(table.data)):
             raise ShapeError(f"conv1d_tables index outside the {len(table.data)} table rows")
     widths = np.cumsum([0] + [table.data.shape[1] for table, _ in lookups])
+    spans = [slice(a, b) for a, b in zip(widths[:-1], widths[1:])]
     pairs = _conv_pairs("conv1d_tables", pairs, int(widths[-1]))
     if sum(len(table.data) for table, _ in lookups) > TABLE_SHARE * len(lookups) * n:
-        return conv1d_same(concat([take_rows(table, index) for table, index in lookups], axis=1),
-                           pairs, lengths=lengths)
+        out, tape, backward = _conv_rows(pairs, lengths, n,
+                                         [(t, cols, i) for (t, i), cols in zip(lookups, spans)])
+        if tape is not None:
+            tape._record(lambda: backward(out.grad))
+        return out
     W, left, start, _, n_pad = _layout(pairs, lengths, n)
     # per lookup: the table rows it reads, sorted, and each index's place among them
     seen = [_rows_read(index, len(table.data)) for table, index in lookups]
     sizes = np.cumsum([0] + [len(used) for used, _ in seen])
     # per lookup: the rows it reads, by number and by value, its columns of
     # the filters, and its rows of the products
-    parts = [(used, table.data[used], slice(a, b), slice(u, v))
-             for (table, _), (used, _), a, b, u, v
-             in zip(lookups, seen, widths[:-1], widths[1:], sizes[:-1], sizes[1:])]
+    parts = [(used, table.data[used], cols, slice(u, v)) for (table, _), (used, _), cols, u, v
+             in zip(lookups, seen, spans, sizes[:-1], sizes[1:])]
     rows = sizes[-1] + 1
     # the products row each row of the padded layout reads, per lookup
     padded = np.full((len(lookups), n_pad), rows - 1)
@@ -704,13 +722,8 @@ def mean(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])                          # split avoids exp overflow
-    s[~pos] = e / (1.0 + e)
-    out, tape = _out(s, x)
+    e = np.exp(-np.abs(x.data))                  # at most 1: exp never overflows
+    out, tape = _out(np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), x)
     if tape is not None:
         def rule(out=out, x=x):
             x.grad += out.grad * out.data * (1.0 - out.data)

@@ -557,10 +557,11 @@ def test_concat_chunks_count_each_context_once():
 def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
     # Layer 1 always goes to conv1d_tables. One 9-token sentence has more
     # table rows than TABLE_SHARE of its lookups, so its forward and a
-    # training step gather the rows for conv1d_same inside it; a packed chunk
-    # of many sentences repeats them, and layer 1 runs from the products.
+    # training step gather the rows inside conv1d_tables; a packed chunk of
+    # many sentences repeats them, and layer 1 runs from the products of the
+    # rows each lookup reads (_rows_read).
     calls, active = [], []
-    for name in ("conv1d_same", "conv1d_tables"):
+    for name in ("conv1d_same", "conv1d_tables", "_rows_read"):
         def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
             calls.append("/".join(active + [_name]))
             active.append(_name)
@@ -571,7 +572,7 @@ def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
         monkeypatch.setattr(ad, name, spy)
     model = case_model("finetune-words")
     nine = [LFKExample([f"w{i}" for i in range(9)], a, ("k0", "k1"), a % 2) for a in (0, 4, 8)]
-    gathered_layer = ["conv1d_tables", "conv1d_tables/conv1d_same", "conv1d_same"]
+    gathered_layer = ["conv1d_tables", "conv1d_same"]
     model.forward(nine[0])
     assert calls == gathered_layer
     calls.clear()
@@ -579,19 +580,20 @@ def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
     assert calls == gathered_layer * len(nine)
     calls.clear()
     model.logits_batch(mixed_batch())
-    assert calls == ["conv1d_tables", "conv1d_same"]
+    assert calls == ["conv1d_tables"] + ["conv1d_tables/_rows_read"] * 2 + ["conv1d_same"]
 
 
 # The ops one training example records, in order, before contexts were
-# shared; case_model's two layers, windows (2, 5). Plain concat activates
-# its last layer after pooling (models.NONDECREASING).
+# shared; case_model's two layers, windows (2, 5). Layer 1 records one
+# conv1d_tables rule, and plain concat activates its last layer after
+# pooling (models.NONDECREASING).
 STEP_OPS = {
-    "attention-cfa": "take_rows concat conv1d_same tanh affine sigmoid affine sigmoid "
+    "attention-cfa": "conv1d_tables tanh affine sigmoid affine sigmoid "
                      "scale_shift_rows conv1d_same tanh affine sigmoid affine sigmoid "
                      "scale_shift_rows linear_rows tanh take_rows concat affine tanh "
                      "row_scores softmax weighted_row_sum mul affine tanh affine take_rows "
                      "cross_entropy mul",
-    "concat": "take_rows concat conv1d_same tanh conv1d_same maxpool_time tanh concat mul "
+    "concat": "conv1d_tables tanh conv1d_same maxpool_time tanh concat mul "
               "affine tanh affine take_rows cross_entropy mul",
 }
 
