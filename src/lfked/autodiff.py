@@ -8,9 +8,11 @@ evaluations and produce constants.
 Sequence ops work on a packed batch: the rows of several sentences stacked
 one after another, with `lengths` giving each sentence's row count (None: the
 whole input is one sentence). Per-sentence values, such as a CFA scale or an
-attention query, are (B, .) rows, one per sentence. `conv1d_same` takes
-the list of (filters, bias) pairs of one or several window sizes and runs
-them from one padded copy and one im2col matrix at the widest window.
+attention query, are (B, .) rows, one per sentence. The segment ops that
+read them take one product or broadcast per sentence, never a copy of its row
+per token, so a packed output is bitwise each sentence alone. `conv1d_same`
+takes the list of (filters, bias) pairs of one or several window sizes and
+runs them from one padded copy and one im2col matrix at the widest window.
 `conv1d_tables` runs the same convolution over rows made of table lookups.
 It alone picks how: when the tables have few rows against the lookups
 (TABLE_SHARE), it multiplies each table row it reads by each filter tap
@@ -194,10 +196,14 @@ def _segments(lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, np.cumsum(lengths) - lengths
 
 
+def _sentence_rows(lengths: np.ndarray, starts: np.ndarray) -> list[slice]:
+    """Each sentence's rows, as a slice, from the arrays of _segments."""
+    return [slice(s, s + k) for s, k in zip(starts.tolist(), lengths.tolist())]
+
+
 def _spread(per_sentence: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Row i of a per-sentence array once per row of sentence i; a single
-    sentence's (1, ...) array is returned as is, since it broadcasts (repeating
-    it made training steps on 40-token sentences about 20% slower)."""
+    sentence's (1, ...) array is returned as is, since it broadcasts."""
     if len(lengths) == 1:
         return per_sentence
     return np.repeat(per_sentence, lengths, axis=0)
@@ -267,7 +273,9 @@ def linear_rows(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"linear_rows shapes disagree: {x.shape} @ {weight.shape} + {bias.shape}"
         )
-    out, tape = _out(x.data @ weight.data + bias.data, x, weight, bias)
+    data = x.data @ weight.data
+    data += bias.data
+    out, tape = _out(data, x, weight, bias)
     if tape is not None:
         def rule(out=out, x=x, weight=weight, bias=bias):
             g = out.grad
@@ -538,8 +546,7 @@ def maxpool_time(seq: Tensor, lengths=None) -> Tensor:
     lengths, starts = _segments(lengths, n)
     # one max per sentence: on 512-token chunks of 8-56 sentences, 400 wide,
     # np.maximum.reduceat over axis 0 took 3-4x as long as this loop
-    pooled = np.stack([seq.data[s:s + k].max(axis=0)
-                       for s, k in zip(starts.tolist(), lengths.tolist())])
+    pooled = np.stack([seq.data[rs].max(axis=0) for rs in _sentence_rows(lengths, starts)])
     out, tape = _out(pooled, seq)
     if tape is not None:
         def rule(out=out, seq=seq, lengths=lengths, starts=starts):
@@ -566,21 +573,21 @@ def take_rows(x: Tensor, indices) -> Tensor:
     return out
 
 
-def _row_dots(rows: np.ndarray, per_sentence: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Dot product of each row with its sentence's row of per_sentence: (n,).
-    One sentence takes a matrix-vector product, about 1% faster per training
-    step."""
-    if len(lengths) == 1:
-        return rows @ per_sentence[0]
-    return np.einsum("ij,ij->i", rows, _spread(per_sentence, lengths))
+def _row_dots(rows: np.ndarray, per_sentence: np.ndarray, sentences) -> np.ndarray:
+    """Each row's dot product with its sentence's row of per_sentence, one
+    matrix-vector product per sentence: (n,)."""
+    out = np.empty(len(rows))
+    for i, rs in enumerate(sentences):
+        np.dot(rows[rs], per_sentence[i], out=out[rs])
+    return out
 
 
-def _weighted_sums(weights: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per sentence, the weighted sum of its rows: (B, f). One sentence takes
-    a vector-matrix product, about 1% faster per training step."""
-    if len(starts) == 1:
-        return (weights @ rows)[None]
-    return np.add.reduceat(weights[:, None] * rows, starts, axis=0)
+def _weighted_sums(weights: np.ndarray, rows: np.ndarray, sentences) -> np.ndarray:
+    """Per sentence, the weighted sum of its rows as one vector-matrix product: (B, f)."""
+    out = np.empty((len(sentences), rows.shape[1]))
+    for i, rs in enumerate(sentences):
+        np.dot(weights[rs], rows[rs], out=out[i])
+    return out
 
 
 # The two segment ops below are each other's adjoint: the gradient of one is
@@ -589,36 +596,38 @@ def _weighted_sums(weights: np.ndarray, rows: np.ndarray, starts: np.ndarray) ->
 
 def row_scores(keys: Tensor, queries: Tensor, lengths=None) -> Tensor:
     """Dot product of each row with its sentence's query: keys (n, a),
-    queries (B, a) -> (n,)."""
+    queries (B, a) -> (n,), one matrix-vector product per sentence."""
     if keys.data.ndim != 2 or queries.data.ndim != 2 or keys.data.shape[1] != queries.data.shape[1]:
         raise ShapeError(f"row_scores expects (n,a), (B,a), got {keys.shape}, {queries.shape}")
-    lengths, starts = _segments(lengths, keys.data.shape[0])
-    out, tape = _out(_row_dots(keys.data, queries.data, lengths), keys, queries)
+    sentences = _sentence_rows(*_segments(lengths, keys.data.shape[0]))
+    out, tape = _out(_row_dots(keys.data, queries.data, sentences), keys, queries)
     if tape is not None:
-        def rule(out=out, keys=keys, queries=queries, lengths=lengths, starts=starts):
+        def rule(out=out, keys=keys, queries=queries, sentences=sentences):
             g = out.grad
             if keys.requires_grad:
-                keys.grad += g[:, None] * _spread(queries.data, lengths)
+                for i, rs in enumerate(sentences):
+                    keys.grad[rs] += g[rs, None] * queries.data[i]
             if queries.requires_grad:
-                queries.grad += _weighted_sums(g, keys.data, starts)
+                queries.grad += _weighted_sums(g, keys.data, sentences)
         tape._record(rule)
     return out
 
 
 def weighted_row_sum(weights: Tensor, rows: Tensor, lengths=None) -> Tensor:
     """Per sentence, the sum of its rows scaled by their weights: weights (n,),
-    rows (n, f) -> (B, f)."""
+    rows (n, f) -> (B, f), one vector-matrix product per sentence."""
     if weights.data.ndim != 1 or rows.data.ndim != 2 or weights.data.shape[0] != rows.data.shape[0]:
         raise ShapeError(f"weighted_row_sum expects (n,), (n,f), got {weights.shape}, {rows.shape}")
-    lengths, starts = _segments(lengths, rows.data.shape[0])
-    out, tape = _out(_weighted_sums(weights.data, rows.data, starts), weights, rows)
+    sentences = _sentence_rows(*_segments(lengths, rows.data.shape[0]))
+    out, tape = _out(_weighted_sums(weights.data, rows.data, sentences), weights, rows)
     if tape is not None:
-        def rule(out=out, weights=weights, rows=rows, lengths=lengths):
+        def rule(out=out, weights=weights, rows=rows, sentences=sentences):
             g = out.grad
             if weights.requires_grad:
-                weights.grad += _row_dots(rows.data, g, lengths)
+                weights.grad += _row_dots(rows.data, g, sentences)
             if rows.requires_grad:
-                rows.grad += weights.data[:, None] * _spread(g, lengths)
+                for i, rs in enumerate(sentences):
+                    rows.grad[rs] += weights.data[rs, None] * g[i]
         tape._record(rule)
     return out
 
@@ -660,7 +669,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale_shift_rows(x: Tensor, scale: Tensor, shift: Tensor, lengths=None) -> Tensor:
     """Per-sentence affine modulation of rows: out[j] = scale[b] * x[j] + shift[b]
-    for each row j of sentence b.
+    for each row j of sentence b, as one broadcast of scale[b] and shift[b].
 
     x (n, f), scale (B, f), shift (B, f) -> (n, f).
     """
@@ -672,20 +681,24 @@ def scale_shift_rows(x: Tensor, scale: Tensor, shift: Tensor, lengths=None) -> T
         raise ShapeError(
             f"scale_shift_rows widths disagree: {x.shape}, {scale.shape}, {shift.shape}"
         )
-    lengths, starts = _segments(lengths, x.data.shape[0])
-    if scale.data.shape[0] != len(lengths):
-        raise ShapeError(f"scale_shift_rows: {scale.shape[0]} scales for {len(lengths)} sentences")
-    s = _spread(scale.data, lengths)
-    out, tape = _out(x.data * s + _spread(shift.data, lengths), x, scale, shift)
+    sentences = _sentence_rows(*_segments(lengths, x.data.shape[0]))
+    if scale.data.shape[0] != len(sentences):
+        raise ShapeError(f"scale_shift_rows: {scale.shape[0]} scales for {len(sentences)} sentences")
+    data = np.empty(x.data.shape)
+    for i, rs in enumerate(sentences):
+        np.multiply(x.data[rs], scale.data[i], out=data[rs])
+        data[rs] += shift.data[i]
+    out, tape = _out(data, x, scale, shift)
     if tape is not None:
-        def rule(out=out, x=x, scale=scale, shift=shift, s=s, starts=starts):
+        def rule(out=out, x=x, scale=scale, shift=shift, sentences=sentences):
             g = out.grad
-            if x.requires_grad:
-                x.grad += g * s
-            if scale.requires_grad:
-                scale.grad += _reduce(np.add, g * x.data, starts)
-            if shift.requires_grad:
-                shift.grad += _reduce(np.add, g, starts)
+            for i, rs in enumerate(sentences):
+                if x.requires_grad:
+                    x.grad[rs] += g[rs] * scale.data[i]
+                if scale.requires_grad:
+                    scale.grad[i] += (g[rs] * x.data[rs]).sum(axis=0)
+                if shift.requires_grad:
+                    shift.grad[i] += g[rs].sum(axis=0)
         tape._record(rule)
     return out
 

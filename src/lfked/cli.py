@@ -20,11 +20,14 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import platform
 import shutil
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .baseline import LinearBaseline
@@ -108,9 +111,10 @@ def _check_value(where: str, action: argparse.Action, value):
         raise ValueError(f"{where}: must be one of {list(action.choices)}, got {value!r}")
 
 
-def _write_manifest(out_dir: Path, args, inputs: dict[str, str], /, *leave_out, **extra):
-    """Record the run's resolved settings (bar leave_out, plus extra), its seed
-    and the digests of its inputs."""
+def _write_manifest(out_dir: Path, args, inputs: dict[str, str], /, *leave_out, run=None,
+                    **extra):
+    """Record the run's resolved settings (bar leave_out, plus extra), its seed,
+    the digests of its inputs and the entries of `run`."""
     config = {k: v for k, v in vars(args).items()
               if k not in ("subcommand", "config", "func", "parser", *leave_out)}
     manifest = {
@@ -120,10 +124,21 @@ def _write_manifest(out_dir: Path, args, inputs: dict[str, str], /, *leave_out, 
         "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
         "tool_version": __version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **(run or {}),
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
+
+
+def _versions() -> dict:
+    """The python, numpy and BLAS versions; None where numpy does not report one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy before 1.26 takes no mode
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +206,7 @@ def _parse_windows(text) -> tuple[int, ...]:
 
 
 def cmd_train(args) -> int:
+    started = time.perf_counter()
     data_dir = Path(args.data_dir)
     train_set = load_dataset(data_dir / "train.jsonl")
     dev_set = load_dataset(data_dir / "dev.jsonl")
@@ -238,6 +254,8 @@ def cmd_train(args) -> int:
     inputs = {"train": str(data_dir / "train.jsonl"), "dev": str(data_dir / "dev.jsonl"),
               "embeddings": str(args.embeddings)}
     _write_manifest(out, args, inputs, "embeddings",
+                    run={"wall_s": round(time.perf_counter() - started, 3),
+                         "versions": _versions()},
                     data_dir=str(data_dir), out=str(out), **best)
     print(f"best dev F1 {best['best_dev_f1']:.3f} at epoch {best['best_epoch']}; "
           f"checkpoint in {out}")

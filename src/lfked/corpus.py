@@ -124,6 +124,9 @@ class LFKExample:
             raise ValueError(f"anchor {self.anchor} outside 0..{len(self.tokens) - 1}")
         if not self.keywords:
             raise ValueError("empty keyword set")
+        if len(set(self.keywords)) != len(self.keywords):
+            repeated = next(k for k in self.keywords if self.keywords.count(k) > 1)
+            raise ValueError(f"keyword {repeated!r} repeats in the keyword set")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 

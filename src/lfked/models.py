@@ -82,13 +82,13 @@ HEADS = ("concat", "attention")
 
 # Rows per chunk of predict_batch in its widest layer: tokens of distinct
 # contexts for plain concat, of examples otherwise (see _chunks); a longer
-# sentence is a chunk of its own. With one BLAS thread on a 2-core machine
-# and shared contexts, medians of 5 alternating scoring processes (each the
-# best of 40 passes, 5 for bulk) of the three benchmark score sets at 512 /
-# 1024: 24.2 / 22.5 ms (short), 76.8 / 70.7 ms (mixed), 0.95 / 0.77 s (bulk).
-# 1024 is faster on all three, but it raised each process's peak RSS from
-# 53.1 to 60.0 MB (short), 53.7 to 60.9 MB (mixed) and 66.6 to 70.7 MB
-# (bulk), so 512 stays and no scoring layer holds more rows than before.
+# sentence is a chunk of its own. With one BLAS thread on a 2-core machine,
+# medians of 5 alternating scoring processes (each the best of 40 passes, 5
+# for bulk) of the three benchmark score sets at 512 / 1024: 18.7 / 16.7 ms
+# (short), 59.5 / 48.9 ms (mixed), 0.65 / 0.60 s (bulk). 1024 is faster on
+# all three, but it raises each process's peak RSS from 51.1 to 53.3 MB
+# (short), 51.8 to 53.6 MB (mixed) and 65.9 to 67.5 MB (bulk), so 512 stays
+# and no scoring layer holds more rows than before.
 SCORE_TOKENS = 512
 
 VARIANTS = {

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfked import autodiff as ad
 from lfked.autodiff import Tape, Tensor
@@ -731,6 +733,17 @@ PACKED_OPS = {
 }
 
 
+# name -> (op, input shapes for n rows of B sentences f wide, per input: split
+# by sentence (True) or one row per sentence (False), and so for the output)
+SEGMENT_OPS = {
+    "scale_shift_rows": (ad.scale_shift_rows, lambda n, B, f: [(n, f), (B, f), (B, f)],
+                         [True, False, False], True),
+    "row_scores": (ad.row_scores, lambda n, B, f: [(n, f), (B, f)], [True, False], True),
+    "weighted_row_sum": (ad.weighted_row_sum, lambda n, B, f: [(n,), (n, f)], [True, True],
+                         False),
+}
+
+
 @pytest.mark.parametrize("name", sorted(PACKED_OPS))
 def test_packed_op_equals_the_op_per_sentence(name):
     # Over packed sentences an op computes each sentence as if it were alone,
@@ -756,11 +769,118 @@ def test_packed_op_equals_the_op_per_sentence(name):
                 for a, sp in zip(arrays, split)]
         alone.append(op(*map(Tensor, args)).data)
     want = np.concatenate(alone)
-    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    if name in SEGMENT_OPS:     # one product or broadcast per sentence: bitwise
+        np.testing.assert_array_equal(out.data, want)
+    else:
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
     for t, a in zip(packed, arrays):
         numeric = central_diff(lambda: loss_of([Tensor(x) for x in arrays]).item(), a)
         assert max_rel_error(t.grad, numeric) < 1e-6
+
+
+def replay(op, arrays, lengths, g):
+    """op's output and, from its one rule run on output gradient g, the
+    gradients of its inputs."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*tensors, lengths)
+    assert len(tape) == 1
+    out.grad[...] = g
+    tape._rules[0]()
+    return out.data, [t.grad for t in tensors]
+
+
+def spread_formulas(name, arrays, lengths, g):
+    """The segment op's output and input gradients by its formulas before it
+    took one product per sentence: per-sentence rows copied to every row
+    (np.repeat), einsum over those copies and np.add.reduceat, with the
+    one-sentence branches those formulas had. Gradients are added into zeros,
+    as the rules add them."""
+    lengths = np.array(lengths)
+    starts = np.cumsum(lengths) - lengths
+
+    def spread(per_sentence):
+        return per_sentence if len(lengths) == 1 else np.repeat(per_sentence, lengths, axis=0)
+
+    def reduce_add(x):
+        if len(starts) == 1:
+            return np.add.reduce(x, axis=0, keepdims=True)
+        return np.add.reduceat(x, starts, axis=0)
+
+    def row_dots(rows, per_sentence):
+        if len(lengths) == 1:
+            return rows @ per_sentence[0]
+        return np.einsum("ij,ij->i", rows, spread(per_sentence))
+
+    def weighted_sums(weights, rows):
+        if len(starts) == 1:
+            return (weights @ rows)[None]
+        return np.add.reduceat(weights[:, None] * rows, starts, axis=0)
+
+    if name == "scale_shift_rows":
+        x, scale, shift = arrays
+        out = x * spread(scale) + spread(shift)
+        grads = [g * spread(scale), reduce_add(g * x), reduce_add(g)]
+    elif name == "row_scores":
+        keys, queries = arrays
+        out = row_dots(keys, queries)
+        grads = [g[:, None] * spread(queries), weighted_sums(g, keys)]
+    else:
+        weights, rows = arrays
+        out = weighted_sums(weights, rows)
+        grads = [row_dots(rows, g), weights[:, None] * spread(g)]
+    return out, [np.zeros(a.shape) + d for a, d in zip(arrays, grads)]
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_OPS))
+@pytest.mark.parametrize("lengths, f", [([1], 3), ([9], 400), ([60], 400), ([23], 50),
+                                        ([9, 1, 60, 23], 400)])
+def test_segment_op_matches_the_spread_formulas_bitwise_on_one_sentence(name, lengths, f):
+    # A training example is one sentence; these bits are what keep its
+    # checkpoints byte-identical to those of the spread formulas. Over packed
+    # sentences, those formulas summed some rows in another order.
+    op, shapes, _, _ = SEGMENT_OPS[name]
+    rng = np.random.default_rng(sum(lengths) * f)
+    arrays = [rng.uniform(-2, 2, shape) for shape in shapes(sum(lengths), len(lengths), f)]
+    g = rng.uniform(-2, 2, op(*map(Tensor, arrays), lengths).shape)
+    got, got_grads = replay(op, arrays, lengths, g)
+    want, want_grads = spread_formulas(name, arrays, lengths, g)
+    for got_x, want_x in zip([got, *got_grads], [want, *want_grads]):
+        if len(lengths) == 1:
+            assert_bitwise(got_x, want_x)
+        else:
+            np.testing.assert_allclose(got_x, want_x, rtol=0, atol=1e-12 * np.abs(want_x).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SEGMENT_OPS)),
+       lengths=st.lists(st.integers(1, 70), min_size=1, max_size=12),
+       f=st.sampled_from([3, 50, 200, 400]), seed=st.integers(0, 2**16))
+def test_segment_op_packed_is_bitwise_each_sentence_alone(name, lengths, f, seed):
+    # outputs and every input gradient, row for row
+    op, shapes, split, out_split = SEGMENT_OPS[name]
+    rng = np.random.default_rng(seed)
+    arrays = [rng.uniform(-2, 2, shape) for shape in shapes(sum(lengths), len(lengths), f)]
+    g = rng.uniform(-2, 2, op(*map(Tensor, arrays), lengths).shape)
+    got, got_grads = replay(op, arrays, lengths, g)
+
+    bounds = np.cumsum([0] + lengths)
+
+    def part(x, by_rows, b):
+        return x[bounds[b]:bounds[b + 1]] if by_rows else x[b:b + 1]
+
+    for b in range(len(lengths)):
+        want, want_grads = replay(op, [part(a, sp, b) for a, sp in zip(arrays, split)], None,
+                                  part(g, out_split, b))
+        assert_bitwise(part(got, out_split, b), want)
+        for got_grad, want_grad, sp in zip(got_grads, want_grads, split):
+            assert_bitwise(part(got_grad, sp, b), want_grad)
 
 
 def test_packed_op_lengths_must_cover_the_rows():

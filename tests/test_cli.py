@@ -3,11 +3,14 @@ config-file merging, exit codes, and byte-stable reruns."""
 
 import ctypes
 import json
+import platform
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lfked import cli
 from lfked.checkpoint import load_checkpoint, save_checkpoint
 from lfked.cli import keep_freed_memory, main
 from lfked.corpus import load_dataset, sha256_file
@@ -270,6 +273,25 @@ def test_train_manifest_has_input_digests(run_dir, data_dir):
     assert "best_dev_f1" in manifest["config"]
 
 
+def test_train_manifest_has_wall_time_and_versions(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["wall_s"] > 0
+    versions = manifest["versions"]
+    assert versions["python"] == platform.python_version()
+    assert versions["numpy"] == np.__version__
+    assert set(versions["blas"]) == {"name", "version"}
+    assert all(v is None or isinstance(v, str) for v in versions["blas"].values())
+
+
+def test_versions_write_null_for_a_blas_numpy_does_not_report(monkeypatch):
+    def show_config(mode="stdout"):
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert cli._versions()["blas"] == {"name": None, "version": None}
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": {"Build Dependencies": {}})
+    assert cli._versions()["blas"] == {"name": None, "version": None}
+
+
 def test_train_rerun_reproduces_checkpoint(synth_dir, data_dir, run_dir, tmp_path_factory):
     again = tmp_path_factory.mktemp("again")      # beside run_dir, as the stored path is relative
     rc = run_cli(
@@ -339,6 +361,23 @@ def test_train_rejects_a_learning_rate_that_is_not_finite_and_positive(
                  "--out", tmp_path / "x", "--lr", lr, *TINY_NET)
     assert rc == 2
     assert "lr must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_rejects_a_repeated_keyword_with_its_location(
+        synth_dir, data_dir, tmp_path, capsys):
+    # keyword_repr would count the repeated keyword twice in V_K
+    data = tmp_path / "lfk"
+    shutil.copytree(data_dir, data)
+    lines = (data / "train.jsonl").read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    lines[1] = json.dumps(rec | {"keywords": rec["keywords"] + rec["keywords"][:1]}) + "\n"
+    (data / "train.jsonl").write_text("".join(lines))
+    rc = run_cli("train", "--model", "concat", "--data-dir", data,
+                 "--embeddings", synth_dir / "embeddings.txt", "--out", tmp_path / "x", *TINY_NET)
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {data / 'train.jsonl'}:2: keyword "
+                                       f"{rec['keywords'][0]!r} repeats in the keyword set\n")
     assert not (tmp_path / "x").exists()
 
 
@@ -610,6 +649,7 @@ def test_eval_finetune_words_scores_unseen_tokens(synth_dir, data_dir, tmp_path,
     ({"label": 2}, "label must be 0 or 1, got 2"),
     ({"tokens": "abc"}, "bad example record ('tokens' must be a list, not a string)"),
     ({"keywords": "k"}, "bad example record ('keywords' must be a list, not a string)"),
+    ({"keywords": ["k", "k"]}, "keyword 'k' repeats in the keyword set"),
 ])
 def test_eval_rejects_a_bad_dataset_record_with_its_location(
         run_dir, tmp_path, capsys, overrides, message):

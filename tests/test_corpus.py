@@ -290,6 +290,7 @@ BAD_RECORDS = [
      "bad example record ('keywords'[1] must be a string, not an integer)"),
     ({"source_subtype": 4},
      "bad example record ('source_subtype' must be a string or null, not an integer)"),
+    ({"keywords": ["k", "j", "k"]}, "keyword 'k' repeats in the keyword set"),
 ]
 
 

@@ -161,7 +161,7 @@ any_corpora = st.builds(Corpus, st.lists(
 def any_examples(draw):
     tokens = draw(st.lists(TEXT, min_size=1, max_size=6))
     return LFKExample(tokens, draw(st.integers(0, len(tokens) - 1)),
-                      tuple(draw(st.lists(TEXT, min_size=1, max_size=4))),
+                      tuple(draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))),
                       draw(st.integers(0, 1)), draw(st.none() | TEXT))
 
 
