@@ -13,11 +13,9 @@ read them take one product or broadcast per sentence, never a copy of its row
 per token, so a packed output is bitwise each sentence alone. `conv1d_same`
 takes the list of (filters, bias) pairs of one or several window sizes and
 runs them from one padded copy and one im2col matrix at the widest window.
-`conv1d_tables` runs the same convolution over rows made of table lookups.
-It alone picks how: when the tables have few rows against the lookups
-(TABLE_SHARE), it multiplies each table row it reads by each filter tap
-once; otherwise it writes the rows into `conv1d_same`'s padded layout and
-shares its forward and backward, back-propagating into trainable tables only.
+`conv1d_tables` runs the same convolution over rows made of table lookups:
+it writes the rows into `conv1d_same`'s padded layout and shares its
+forward and backward, back-propagating into trainable tables only.
 
 During the reverse replay the rules of `affine` and the im2col convolutions
 queue the factors of their weight's gradient on the weight instead of adding
@@ -416,37 +414,16 @@ def conv1d_same(seq: Tensor, pairs, lengths=None) -> Tensor:
     return out
 
 
-# conv1d_tables multiplies table rows by filter taps when its tables hold at
-# most this share of its K*n lookups (K tables of n indices each), and
-# gathers the rows otherwise. Layer-1 time of the products over the gather,
-# on 268 chunks of 16-512 tokens of the bulk and short score sets (one BLAS
-# thread, 2-core machine), by that share: 0.49 at 0.1-0.2, 0.58 at 0.2-0.25,
-# 0.78 at 0.35-0.4, 0.76 at 0.4-0.45, 1.07 at 0.5-0.8 and 1.40 above 0.8
-# without a tape, where scoring runs; with one, forward and backward, 0.75,
-# 0.89, 1.25, 1.21, 1.50 and 1.71. Layer 1's position table and distinct
-# words are 0.10-0.14 of the lookups in the median of the benchmark's scoring
-# chunks (largest 0.38), and 0.71 or more of each of its training examples.
-TABLE_SHARE = 0.4
-
-
 def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
     """conv1d_same of rows made of table lookups.
 
     `lookups` is a list of K (table (U_k, d_k), index (n,) ints) pairs, and
     row r of the sequence is the rows it indexes, side by side: the result is
     conv1d_same(concat([take_rows(table, index), ...], axis=1), pairs,
-    lengths=lengths), d_in being the sum of the d_k. When the tables hold
-    more than TABLE_SHARE of the K*n lookups, it is computed so, from the rows
-    gathered into conv1d_same's layout, and frozen tables get no gradient
-    (see _conv_rows).
-    Otherwise it works from products: a convolution is linear in its rows,
-    so tap j of a window applied to row r is the sum over the tables of
-    table_k[index_k[r]] @ filters[j][table k's columns]. Per window, each
-    table row that an index reads is multiplied by every tap once, into
-    (w, U + 1, f) products: the rows read, stacked, then a zero row. An
-    output row is its bias plus one gathered products row per tap and table,
-    and pad rows gather the zero row. The backward adds into the rows read
-    only, so a table may hold rows that no index reads.
+    lengths=lengths), d_in being the sum of the d_k. The rows are written
+    straight into conv1d_same's padded layout, and the backward adds the
+    input gradient into the trainable tables only, into the rows read (see
+    _conv_rows).
     """
     lookups = [(table, np.asarray(index, dtype=np.intp)) for table, index in lookups]
     n = len(lookups[0][1]) if lookups else 0
@@ -457,80 +434,13 @@ def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
         if n and (index.min() < 0 or index.max() >= len(table.data)):
             raise ShapeError(f"conv1d_tables index outside the {len(table.data)} table rows")
     widths = np.cumsum([0] + [table.data.shape[1] for table, _ in lookups])
-    spans = [slice(a, b) for a, b in zip(widths[:-1], widths[1:])]
     pairs = _conv_pairs("conv1d_tables", pairs, int(widths[-1]))
-    if sum(len(table.data) for table, _ in lookups) > TABLE_SHARE * len(lookups) * n:
-        out, tape, backward = _conv_rows(pairs, lengths, n,
-                                         [(t, cols, i) for (t, i), cols in zip(lookups, spans)])
-        if tape is not None:
-            tape._record(lambda: backward(out.grad))
-        return out
-    W, left, start, _, n_pad = _layout(pairs, lengths, n)
-    # per lookup: the table rows it reads, sorted, and each index's place among them
-    seen = [_rows_read(index, len(table.data)) for table, index in lookups]
-    sizes = np.cumsum([0] + [len(used) for used, _ in seen])
-    # per lookup: the rows it reads, by number and by value, its columns of
-    # the filters, and its rows of the products
-    parts = [(used, table.data[used], cols, slice(u, v)) for (table, _), (used, _), cols, u, v
-             in zip(lookups, seen, spans, sizes[:-1], sizes[1:])]
-    rows = sizes[-1] + 1
-    # the products row each row of the padded layout reads, per lookup
-    padded = np.full((len(lookups), n_pad), rows - 1)
-    for k, (_, place) in enumerate(seen):
-        padded[k, left:][start] = place + sizes[k]
-    windows = np.arange(n_pad - (W - 1))[start]
-    data = np.empty((n, sum(b.data.shape[0] for _, b in pairs)))
-    blocks = []
-    for (filt, b), (w, off, cols) in zip(pairs, _taps(pairs, left)):
-        products = np.empty((w, rows, filt.data.shape[2]))
-        for _, used_rows, in_cols, out_rows in parts:
-            np.matmul(used_rows, filt.data[:, in_cols], out=products[:, out_rows])
-        products[:, -1] = 0.0
-        # (K*w, n): per lookup and tap, the row of the (w*rows, f) products
-        # each output row reads
-        reads = (padded[:, windows + off + np.arange(w)[:, None]]
-                 + (np.arange(w) * rows)[:, None]).reshape(-1, n)
-        # a contiguous sum, copied into the output's columns once: adding
-        # into the column block itself was 1.7x as slow
-        flat = products.reshape(w * rows, -1)
-        acc = np.empty((n, flat.shape[1]))
-        acc[:] = b.data
-        for read in reads:
-            acc += flat.take(read, axis=0)
-        data[:, cols] = acc
-        blocks.append((cols, reads))
-    out, tape = _out(data, *(table for table, _ in lookups), *(t for pair in pairs for t in pair))
+    inputs = [(table, slice(a, b), index)
+              for (table, index), a, b in zip(lookups, widths[:-1], widths[1:])]
+    out, tape, backward = _conv_rows(pairs, lengths, n, inputs)
     if tape is not None:
-        def rule(out=out, lookups=lookups, pairs=pairs, parts=parts, blocks=blocks, rows=rows):
-            g = out.grad
-            for (filt, b), (cols, reads) in zip(pairs, blocks):
-                if b.requires_grad:
-                    b.grad += g[:, cols].sum(axis=0)
-                # each output row's gradient summed into the products rows it read
-                w, _, f = filt.data.shape
-                order = np.argsort(reads, axis=None, kind="stable")
-                hit = reads.ravel()[order]
-                first = np.flatnonzero(np.r_[True, hit[1:] != hit[:-1]])
-                d_products = np.zeros((w * rows, f))
-                d_products[hit[first]] = np.add.reduceat(g[order % reads.shape[1], cols], first,
-                                                         axis=0)
-                d_products = d_products.reshape(w, rows, f)
-                for (table, _), (used, used_rows, in_cols, out_rows) in zip(lookups, parts):
-                    if filt.requires_grad:
-                        filt.grad[:, in_cols] += used_rows.T @ d_products[:, out_rows]
-                    if table.requires_grad:
-                        table.grad[used] += (d_products[:, out_rows]
-                                             @ filt.data[:, in_cols].transpose(0, 2, 1)).sum(axis=0)
-        tape._record(rule)
+        tape._record(lambda: backward(out.grad))
     return out
-
-
-def _rows_read(index: np.ndarray, rows: int):
-    """np.unique(index, return_inverse=True) for indices into `rows` rows,
-    from a mask of the rows read: 17 us against 44-49 us on 512 indices."""
-    hit = np.zeros(rows, dtype=bool)
-    hit[index] = True
-    return np.flatnonzero(hit), (np.cumsum(hit) - 1)[index]
 
 
 def maxpool_time(seq: Tensor, lengths=None) -> Tensor:

@@ -106,6 +106,15 @@ class TriggerLexicon:
         return self.triggers.get(subtype, set())
 
 
+def check_keywords(keywords):
+    """Raise ValueError for an empty keyword set or one that repeats a keyword."""
+    if not keywords:
+        raise ValueError("empty keyword set")
+    if len(set(keywords)) != len(keywords):
+        repeated = next(k for k in keywords if keywords.count(k) > 1)
+        raise ValueError(f"keyword {repeated!r} repeats in the keyword set")
+
+
 @dataclass
 class LFKExample:
     """One binary keyword-matching example: does the anchored context express
@@ -122,11 +131,7 @@ class LFKExample:
             raise ValueError("empty token list")
         if not 0 <= self.anchor < len(self.tokens):
             raise ValueError(f"anchor {self.anchor} outside 0..{len(self.tokens) - 1}")
-        if not self.keywords:
-            raise ValueError("empty keyword set")
-        if len(set(self.keywords)) != len(self.keywords):
-            repeated = next(k for k in self.keywords if self.keywords.count(k) > 1)
-            raise ValueError(f"keyword {repeated!r} repeats in the keyword set")
+        check_keywords(self.keywords)
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
@@ -335,7 +340,11 @@ def load_dataset(path) -> list[LFKExample]:
 
 
 def save_dataset(examples: list[LFKExample], path, debug: bool = False):
-    """Write examples as JSON-lines; keywords sorted for byte determinism."""
+    """Write examples as JSON-lines; keywords sorted for byte determinism.
+    Every example is validated first, so no file is written that
+    load_dataset would refuse."""
+    for ex in examples:
+        ex.validate()
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
             rec = {"tokens": ex.tokens, "anchor": ex.anchor, "keywords": sorted(ex.keywords),

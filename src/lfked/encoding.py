@@ -3,8 +3,11 @@
 The encoder turns sentences, packed one after another with an anchor each,
 into the input of the first CNN layer: row i of a sentence is a position
 vector for offset i - anchor beside the word vector of token i, given as a
-lookup into each of two tables (see autodiff.conv1d_tables). The keyword
-encoder turns keyword sets into one row each. Word vectors are frozen by
+lookup into each of two tables (see autodiff.conv1d_tables). A scoring pass
+reads the word lookup only: its position terms come from the pass's
+models.PositionTaps. The keyword encoder turns keyword sets into one row
+each; an empty set, or one that repeats a keyword, is refused with the
+message of corpus.LFKExample.validate. Word vectors are frozen by
 default; pass a WordTable to make them trainable. Position vectors are always
 learned.
 
@@ -20,6 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .autodiff import Tensor, concat, take_rows, weighted_row_sum
+from .corpus import check_keywords
 from .seeding import rng_for
 
 log = logging.getLogger(__name__)
@@ -198,7 +202,8 @@ def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
     order, `lengths` their counts and `anchors` one index into each sentence.
 
     The positions index the whole position table. The word table holds the
-    distinct tokens in first-occurrence order, so each is looked up once."""
+    distinct tokens in first-occurrence order, so each is looked up once and
+    every row of it is read."""
     lengths = np.asarray(lengths, dtype=np.intp)
     anchors = np.asarray(anchors, dtype=np.intp)
     check_anchors(anchors, lengths)
@@ -212,14 +217,15 @@ def keyword_repr(keyword_sets, emb: EmbeddingTable,
                  words: WordTable | None = None) -> Tensor:
     """(len(keyword_sets), emb.dim): the average of each set's keyword vectors,
     as one weighted row sum per set. Each set is read in sorted order, so a
-    row is a pure function of its set."""
+    row is a pure function of its set. An empty set, or one that repeats a
+    keyword, raises ValueError."""
     sets = []
     for kws in keyword_sets:
         if isinstance(kws, str):
             raise TypeError("keyword_repr takes a sequence of keyword sets")
-        if not kws:
-            raise ValueError("keyword set is empty")
-        sets.append(sorted(kws))
+        kws = sorted(kws)
+        check_keywords(kws)
+        sets.append(kws)
     lengths = [len(kws) for kws in sets]
     weights = Tensor(np.repeat(1.0 / np.array(lengths), lengths))
     return weighted_row_sum(weights, word_rows([k for kws in sets for k in kws], emb, words),

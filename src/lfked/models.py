@@ -16,10 +16,14 @@ row after row into one matrix and passes their lengths to every layer, so a
 layer is a few matrix products per batch, and per-sentence vectors (V_K, the
 CFA scale and shift, the attention query) are (B, .) rows. A CNN layer is one
 convolution op for all its window sizes, with one product per window into
-its own column block of the layer's output. The first layer reads the
-position and word lookups of `encode` through `conv1d_tables`, which picks
-its own route; layers 2 and up read the rows of the layer below through
-`conv1d_same`. Nothing before the first CFA step, the attention head or the
+its own column block of the layer's output. On a tape, the first layer
+reads the position and word lookups of `encode` through `conv1d_tables`.
+A scoring pass instead builds PositionTaps once: per window, the bias plus
+the position taps of every position signature a row can have. Each chunk's
+first layer then takes one row of that table per token and adds the word
+taps, which adds the terms of the per-tap sum in the same order. Layers 2
+and up read the rows of the layer below through `conv1d_same`. Nothing
+before the first CFA step, the attention head or the
 concat with V_K reads the keywords, so a batch's distinct (tokens, anchor)
 contexts are encoded and convolved once each: at the first op that reads
 V_K, one `take_rows` gives each example its context's rows (for the concat
@@ -37,8 +41,8 @@ than of largest output; these differ only where the activation maps two
 inputs to one value: saturated tanh or relu's zeros, whose gradient is zero,
 or inputs a few floats apart. On the tape the forward is
 what training runs, one example at a time through `Model.forward`; without
-a tape, `Model.predict_batch` runs it over chunks of up to SCORE_TOKENS rows
-in the widest layer (see _chunks).
+a tape, `Model.logits_batch` runs it over chunks of up to SCORE_TOKENS rows
+in the widest layer (see _chunks), all from one PositionTaps.
 
 Every parameter is initialized uniformly in [-0.1, 0.1] from a stream keyed
 by (seed, "init", parameter name), so two configs sharing a seed assign
@@ -80,15 +84,15 @@ NONDECREASING = frozenset({"tanh", "relu", "identity"})
 
 HEADS = ("concat", "attention")
 
-# Rows per chunk of predict_batch in its widest layer: tokens of distinct
+# Rows per chunk of logits_batch in its widest layer: tokens of distinct
 # contexts for plain concat, of examples otherwise (see _chunks); a longer
 # sentence is a chunk of its own. With one BLAS thread on a 2-core machine,
-# medians of 5 alternating scoring processes (each the best of 40 passes, 5
-# for bulk) of the three benchmark score sets at 512 / 1024: 18.7 / 16.7 ms
-# (short), 59.5 / 48.9 ms (mixed), 0.65 / 0.60 s (bulk). 1024 is faster on
-# all three, but it raises each process's peak RSS from 51.1 to 53.3 MB
-# (short), 51.8 to 53.6 MB (mixed) and 65.9 to 67.5 MB (bulk), so 512 stays
-# and no scoring layer holds more rows than before.
+# layer 1 from PositionTaps, medians of 7 alternating scoring processes
+# (each the best of 40 passes, 7 for bulk) of the three benchmark test sets
+# at 512 / 1024: 20.7 / 17.5 ms (short), 58.6 / 62.3 ms (mixed), 0.46 /
+# 0.44 s (bulk), with 10-30% between processes. 1024 raises each process's
+# peak RSS from 51.2 to 53.5 MB (short), 51.9 to 58.5 MB (mixed) and 66.2 to
+# 68.7 MB (bulk), so 512 stays and no scoring layer holds more rows.
 SCORE_TOKENS = 512
 
 VARIANTS = {
@@ -210,14 +214,93 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
 # building blocks
 
 
-def cnn_layer(h_prev, lengths, window_params, act) -> Tensor:
+def cnn_layer(h_prev, lengths, window_params, act, taps=None, anchors=None) -> Tensor:
     """Length-preserving conv block over packed sentences: one convolution
     for all window sizes, their features side by side in the given window
     order, then the nonlinearity. h_prev is the (n, d) input, or the list of
-    (table, index) lookups whose rows side by side make it (layer 1)."""
+    (table, index) lookups whose rows side by side make it (layer 1). With
+    `taps`, the PositionTaps of a scoring pass built from window_params,
+    layer 1 runs from them and the word lookup, untaped, and reads the
+    sentences' anchors."""
     if isinstance(h_prev, Tensor):
         return act(ad.conv1d_same(h_prev, window_params, lengths=lengths))
+    if taps is not None:
+        return act(Tensor(taps.conv(*h_prev[1], lengths, anchors)))
     return act(ad.conv1d_tables(h_prev, window_params, lengths=lengths))
+
+
+class PositionTaps:
+    """Layer 1's bias and position taps per window, by position signature,
+    built once per scoring pass from the current parameters.
+
+    Layer 1 reads row i of an L-token sentence as the position row of its
+    offset from the anchor beside its word vector. A window of width w reads
+    lw = (w-1)//2 rows to the left and rw = w//2 to the right, so what its
+    position taps add to row i depends only on the row's signature: its
+    offset clamped to [-max_offset - rw, max_offset + lw] (past these, every
+    row the window reads clamps to the same position row), min(i, lw) and
+    min(L-1-i, rw) (its neighbours inside the sentence). Per window, the
+    table holds for each signature the bias plus the products of the
+    position rows read with their taps, added in tap order, over the offsets
+    lo..hi only. `conv` gives each row its table row and adds its word taps:
+    the terms and order of conv1d_same's sum of products, tap by tap. It
+    refuses sentences that reach offsets outside lo..hi.
+    """
+
+    def __init__(self, pos: PositionTable, pairs, lo: int, hi: int):
+        self.pairs, self.pos_dim, self.reach = pairs, pos.dim, (lo, hi)
+        self.tables = []
+        M = pos.max_offset
+        for filt, b in pairs:
+            w, _, f = filt.data.shape
+            lw, rw = (w - 1) // 2, w // 2
+            first, last = max(lo, -M - rw), min(hi, M + lw)
+            count = max(last - first + 1, 0)
+            # tap j of the row at offset o reads the position row of offset
+            # o + j - lw, which is rows[o - first + j]
+            rows = pos.row_indices(np.arange(first - lw, first + count + rw))
+            products = np.matmul(pos.table.data[rows], filt.data[:, :self.pos_dim])
+            table = np.empty((count, lw + 1, rw + 1, f))
+            table[:] = b.data
+            for j in range(w):
+                # tap j reads a row of the sentence when the row has at least
+                # lw - j neighbours on its left and j - lw on its right
+                table[:, max(lw - j, 0):, max(j - lw, 0):] += products[j, j:j + count, None, None]
+            self.tables.append((first, last, lw, rw, table.reshape(-1, f)))
+
+    def conv(self, words: Tensor, index, lengths, anchors) -> np.ndarray:
+        """Layer 1's (n, sum of f) rows, before the activation, of sentences
+        packed with these lengths and anchors, whose word vectors are the
+        rows of `words` that `index` reads."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        n, U = len(index), len(words.data)
+        place = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        rest = np.repeat(lengths - 1, lengths) - place
+        offset = place - np.repeat(np.asarray(anchors, dtype=np.intp), lengths)
+        if n and not (self.reach[0] <= offset.min() and offset.max() <= self.reach[1]):
+            raise ValueError(f"offsets {offset.min()}..{offset.max()} outside the "
+                             f"{self.reach[0]}..{self.reach[1]} these taps were built for")
+        W = max(filt.data.shape[0] for filt, _ in self.pairs)
+        # per distance d, the word row d rows on, or U (a zero products row)
+        # outside the sentence
+        reads = {d: np.where(place >= -d if d < 0 else rest >= d,
+                             index.take(np.arange(d, n + d), mode="clip"), U)
+                 for d in range(-((W - 1) // 2), W // 2 + 1)}
+        data = np.empty((n, sum(b.data.shape[0] for _, b in self.pairs)))
+        stop = 0
+        for (filt, _), (first, last, lw, rw, table) in zip(self.pairs, self.tables):
+            w, _, f = filt.data.shape
+            products = np.empty((w, U + 1, f))
+            np.matmul(words.data, filt.data[:, self.pos_dim:], out=products[:, :U])
+            products[:, U] = 0.0
+            signature = (((np.minimum(np.maximum(offset, first), last) - first) * (lw + 1)
+                          + np.minimum(place, lw)) * (rw + 1) + np.minimum(rest, rw))
+            acc = table.take(signature, axis=0)
+            for j in range(w):
+                acc += products[j].take(reads[j - lw], axis=0)
+            data[:, stop:stop + f] = acc
+            stop += f
+        return data
 
 
 def cfa_condition(h: Tensor, lengths, v_k: Tensor, gamma_w, gamma_b, beta_w, beta_b,
@@ -287,12 +370,13 @@ class Model:
                 for w in self.config.windows]
 
     def forward_batch(self, examples, train: bool = False, rng=None,
-                      aux: dict | None = None, keys=None) -> Tensor:
+                      aux: dict | None = None, keys=None, taps=None) -> Tensor:
         """(len(examples), 2) logits. The sentences are packed row after row
         into one matrix; see the module docstring. Training mode applies
         inverted dropout to R and requires an rng; eval mode is deterministic.
-        `keys`, if given, holds each example's _context. An anchor outside its
-        sentence raises ValueError."""
+        `keys`, if given, holds each example's _context; `taps`, the
+        PositionTaps of an untaped pass that holds these examples, runs
+        layer 1. An anchor outside its sentence raises ValueError."""
         cfg, p = self.config, self.params
         conv_act = ACTIVATIONS[cfg.conv_act]
         contexts, ctx = _contexts(examples, keys)
@@ -308,7 +392,8 @@ class Model:
                       and cfg.conv_act in NONDECREASING)
         for i in range(1, cfg.layers + 1):
             act = ad.identity if pool_first and i == cfg.layers else conv_act
-            h = cnn_layer(h, lengths, self._layer_windows(i), act)
+            h = cnn_layer(h, lengths, self._layer_windows(i), act,
+                          taps if i == 1 else None, anchors)
             if i in cfa_at:
                 h, lengths, anchors, ctx = _hand_out(h, lengths, anchors, ctx)
                 h = cfa_condition(
@@ -359,12 +444,17 @@ class Model:
 
     def logits_batch(self, examples) -> np.ndarray:
         """(len(examples), 2) eval-mode logits: forward_batch without a tape,
-        chunk by chunk (see _chunks)."""
+        chunk by chunk (see _chunks), layer 1 from the PositionTaps of the
+        offsets the examples reach."""
+        if not examples:
+            return np.zeros((0, 2))
+        taps = PositionTaps(self.pos, self._layer_windows(1),
+                            -max(ex.anchor for ex in examples),
+                            max(len(ex.tokens) - ex.anchor for ex in examples) - 1)
         # only plain concat keeps one row per context in every layer
         by_context = self.config.head == "concat" and not self.config.cfa
-        logits = [self.forward_batch(chunk, keys=keys).data
-                  for chunk, keys in _chunks(examples, by_context=by_context)]
-        return np.concatenate(logits) if logits else np.zeros((0, 2))
+        return np.concatenate([self.forward_batch(chunk, keys=keys, taps=taps).data
+                               for chunk, keys in _chunks(examples, by_context=by_context)])
 
 
 def _context(ex):

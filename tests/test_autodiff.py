@@ -354,8 +354,8 @@ def _table_inputs(seed):
 
 @pytest.mark.parametrize("windows", [(1, 2, 3, 4, 5), (5, 2, 4)])
 def test_conv_tables_equal_conv_of_the_looked_up_rows(windows):
-    # All ten sentences take the products route; the first five, whose tables
-    # are above TABLE_SHARE of their lookups, take the gather route.
+    # Over all ten sentences and over the first five: the same output and
+    # filter gradients as conv1d_same of the gathered rows, bit for bit.
     rng, emb, words, pos, tokens, lengths, anchors = _table_inputs(sum(windows))
     f = 2
     params = [(rng.uniform(-2, 2, (w, 5, f)), rng.uniform(-2, 2, f)) for w in windows]
@@ -380,44 +380,30 @@ def test_conv_tables_equal_conv_of_the_looked_up_rows(windows):
         grads = [pos.table.grad.copy(), words.matrix.grad.copy()]
         return lookups, out.data, grads + [t.grad for pair in pairs for t in pair]
 
-    def table_rows(lookups):
-        return sum(len(table.data) for table, _ in lookups)
-
-    lookups, got, got_grads = run(len(lengths), tables=True)
-    assert lookups[0][0] is pos.table
-    assert table_rows(lookups) <= ad.TABLE_SHARE * 2 * len(tokens)
-    _, want, want_grads = run(len(lengths), tables=False)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    largest = max(np.abs(g).max() for g in want_grads)
-    for g, w in zip(got_grads, want_grads):
-        assert np.abs(w).max() > 0
-        assert np.abs(g - w).max() <= 1e-12 * largest
-    unread = np.setdiff1d(np.arange(len(pos.table.data)), lookups[0][1])
-    assert unread.tolist() == [0, 1]
-    assert not got_grads[0][unread].any()
-
-    lookups, got, got_grads = run(5, tables=True)
-    assert table_rows(lookups) > ad.TABLE_SHARE * 2 * sum(lengths[:5])
-    _, want, want_grads = run(5, tables=False)
-    np.testing.assert_array_equal(got, want)
-    # the gather route multiplies the output gradient by each table's columns
-    # of the filters on their own, so BLAS may round the tables' sums apart
-    largest = max(np.abs(g).max() for g in want_grads)
-    for g, w in zip(got_grads[:2], want_grads[:2]):
-        assert np.abs(g - w).max() <= 1e-12 * largest
-    for g, w in zip(got_grads[2:], want_grads[2:]):
-        np.testing.assert_array_equal(g, w)
+    for k in (len(lengths), 5):
+        lookups, got, got_grads = run(k, tables=True)
+        assert lookups[0][0] is pos.table
+        _, want, want_grads = run(k, tables=False)
+        np.testing.assert_array_equal(got, want)
+        # conv1d_tables multiplies the output gradient by each table's columns
+        # of the filters on their own, so BLAS may round the tables' sums apart
+        largest = max(np.abs(g).max() for g in want_grads)
+        for g, w in zip(got_grads[:2], want_grads[:2]):
+            assert np.abs(w).max() > 0
+            assert np.abs(g - w).max() <= 1e-12 * largest
+        for g, w in zip(got_grads[2:], want_grads[2:]):
+            np.testing.assert_array_equal(g, w)
+        unread = np.setdiff1d(np.arange(len(pos.table.data)), lookups[0][1])
+        assert unread.tolist() == ([0, 1] if k == len(lengths) else [0, 1, 2])
+        assert not got_grads[0][unread].any()
 
 
-def test_conv_tables_gradient_matches_finite_differences(monkeypatch):
-    # 7 table rows: 0.29 of the 24 lookups of 12 rows take the products
-    # route, 0.58 of 12 lookups the gather route, here with one table frozen.
-    # There, values in [-2, 2] saturate tanh and leave filter gradients near
-    # 1e-7, which central differences resolve to only 1e-5 of themselves.
-    rows_read, orig = [], ad._rows_read
-    monkeypatch.setattr(ad, "_rows_read", lambda *args: rows_read.append(1) or orig(*args))
+def test_conv_tables_gradient_matches_finite_differences():
+    # Two tables of 3 and 4 rows under 12 and 6 lookups, the second case with
+    # one table frozen. There, values in [-2, 2] saturate tanh and leave
+    # filter gradients near 1e-7, which central differences resolve to only
+    # 1e-5 of themselves.
     for lengths, frozen, spread in [([1, 4, 2, 5], None, 2), ([1, 3, 2], 1, 1)]:
-        rows_read.clear()
         rng = np.random.default_rng(5)
         index_p = rng.integers(0, 3, sum(lengths))
         index_e = rng.integers(0, 4, sum(lengths))
@@ -434,7 +420,7 @@ def test_conv_tables_gradient_matches_finite_differences(monkeypatch):
         with Tape() as tape:
             loss = loss_of(*tensors)
         tape.backward(loss)
-        assert len(tape) == 4 and bool(rows_read) == (frozen is None)
+        assert len(tape) == 4
         for k, (t, a) in enumerate(zip(tensors, arrays)):
             if k == frozen:
                 assert t.grad is None

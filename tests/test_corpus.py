@@ -262,6 +262,19 @@ def test_dataset_roundtrip_and_sorted_keywords(tmp_path):
     assert [e.source_subtype for e in back] == ["alpha_1", "beta_1"]
 
 
+def test_save_dataset_validates_every_example_before_writing(tmp_path):
+    good = LFKExample(["w0", "w1"], 1, ("aa",), 1)
+    p = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError, match="keyword 'k' repeats in the keyword set"):
+        save_dataset([good, LFKExample(["w2"], 0, ("k", "j", "k"), 0)], p)
+    assert not p.exists()
+    save_dataset([good], p)
+    before = p.read_bytes()
+    with pytest.raises(ValueError, match="anchor 3 outside 0..1"):
+        save_dataset([good, LFKExample(["w0", "w1"], 3, ("aa",), 1)], p)
+    assert p.read_bytes() == before
+
+
 def test_load_dataset_validates_examples(tmp_path):
     p = tmp_path / "data.jsonl"
     p.write_text('{"tokens": ["a"], "anchor": 5, "keywords": ["k"], "label": 1}\n')

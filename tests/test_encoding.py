@@ -244,7 +244,7 @@ def test_keyword_repr_memory_is_linear_in_the_batch():
     # 1000 sets of 4 keywords: the keyword rows take under 0.1 MB, while one
     # (sets, keywords) array would take 32 MB.
     emb = table()
-    sets = [("cat", "dog", "dog", "cat")] * 1000
+    sets = [("cat", "dog", "emu", "owl")] * 1000   # emu and owl read as zeros
     tracemalloc.start()
     try:
         rows = keyword_repr(sets, emb).data
@@ -252,7 +252,13 @@ def test_keyword_repr_memory_is_linear_in_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert (rows == (emb.lookup("cat") + emb.lookup("dog")) / 2).all()
+    assert (rows == (emb.lookup("cat") + emb.lookup("dog")) / 4).all()
+
+
+def test_keyword_repr_refuses_a_repeated_keyword():
+    # the message LFKExample.validate gives a dataset record
+    with pytest.raises(ValueError, match="keyword 'dog' repeats in the keyword set"):
+        keyword_repr([("cat",), ("dog", "cat", "dog")], table())
 
 
 # --- trainable word table ---------------------------------------------------

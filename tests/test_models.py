@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lfked import autodiff as ad
+from lfked import models
 from lfked.autodiff import Tape, Tensor
 from lfked.corpus import LFKExample
 from lfked.encoding import EmbeddingTable, WordTable
@@ -17,6 +18,7 @@ from lfked.models import (
     SCORE_TOKENS,
     Model,
     ModelConfig,
+    PositionTaps,
     _chunks,
     cfa_condition,
     cnn_layer,
@@ -554,14 +556,27 @@ def test_concat_chunks_count_each_context_once():
     assert_packed_matches_forward(case_model("concat"), batch)
 
 
+def _spy_position_taps(monkeypatch, calls):
+    """Log each PositionTaps built and each chunk it runs to `calls`."""
+    class Spied(PositionTaps):
+        def __init__(self, *args):
+            calls.append("PositionTaps")
+            super().__init__(*args)
+
+        def conv(self, *args):
+            calls.append("PositionTaps.conv")
+            return super().conv(*args)
+
+    monkeypatch.setattr(models, "PositionTaps", Spied)
+
+
 def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
-    # Layer 1 always goes to conv1d_tables. One 9-token sentence has more
-    # table rows than TABLE_SHARE of its lookups, so its forward and a
-    # training step gather the rows inside conv1d_tables; a packed chunk of
-    # many sentences repeats them, and layer 1 runs from the products of the
-    # rows each lookup reads (_rows_read).
+    # A forward and a training step take one example at a time, and layer 1
+    # gathers its rows inside conv1d_tables. A scoring pass repeats the
+    # position rows across its sentences: it builds its PositionTaps once
+    # and runs every chunk's layer 1 from them, with no conv1d_tables call.
     calls, active = [], []
-    for name in ("conv1d_same", "conv1d_tables", "_rows_read"):
+    for name in ("conv1d_same", "conv1d_tables"):
         def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
             calls.append("/".join(active + [_name]))
             active.append(_name)
@@ -570,6 +585,7 @@ def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
             finally:
                 active.pop()
         monkeypatch.setattr(ad, name, spy)
+    _spy_position_taps(monkeypatch, calls)
     model = case_model("finetune-words")
     nine = [LFKExample([f"w{i}" for i in range(9)], a, ("k0", "k1"), a % 2) for a in (0, 4, 8)]
     gathered_layer = ["conv1d_tables", "conv1d_same"]
@@ -580,7 +596,42 @@ def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
     assert calls == gathered_layer * len(nine)
     calls.clear()
     model.logits_batch(mixed_batch())
-    assert calls == ["conv1d_tables"] + ["conv1d_tables/_rows_read"] * 2 + ["conv1d_same"]
+    assert calls == ["PositionTaps", "PositionTaps.conv", "conv1d_same"]
+
+
+@pytest.mark.parametrize("case", ["attention-cfa", "concat"])
+def test_position_taps_are_built_once_per_pass_and_never_stale(monkeypatch, case):
+    # Every dev evaluation follows an optimizer step, which changes the
+    # position table and the layer-1 filters in place.
+    calls = []
+    _spy_position_taps(monkeypatch, calls)
+    model, batch = case_model(case), mixed_batch() * 6
+    assert len(list(_chunks(batch))) > 2
+    model.logits_batch(batch)
+    assert calls.count("PositionTaps") == 1
+    assert calls.count("PositionTaps.conv") == len(list(_chunks(
+        batch, by_context=model.config.head == "concat" and not model.config.cfa)))
+    rng = rng_for(2, "nudge")
+    nudges = [(name, rng.normal(scale=0.05, size=model.named_params()[name].shape))
+              for name in ("pos.table", "conv1.w2.filters", "conv1.w5.filters", "conv1.w5.bias")]
+    for k, (name, nudge) in enumerate(nudges):
+        before = model.logits_batch(batch)
+        model.named_params()[name].data += nudge
+        fresh = case_model(case)
+        for earlier, d in nudges[:k + 1]:
+            fresh.named_params()[earlier].data += d
+        got = model.logits_batch(batch)
+        assert not np.array_equal(got, before)
+        np.testing.assert_array_equal(got, fresh.logits_batch(batch))
+
+
+def test_position_taps_refuse_offsets_outside_their_reach():
+    model = case_model("concat")
+    taps = PositionTaps(model.pos, model._layer_windows(1), -2, 2)
+    words = Tensor(np.ones((3, 8)))
+    with pytest.raises(ValueError, match="offsets -1..3 outside the -2..2"):
+        taps.conv(words, np.array([0, 1, 2, 0, 1]), [5], [1])
+    assert taps.conv(words, np.array([0, 1, 2, 0, 1]), [5], [2]).shape == (5, 6)
 
 
 # The ops one training example records, in order, before contexts were

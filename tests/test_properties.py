@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfked import autodiff as ad
+from lfked.autodiff import Tensor
 from lfked.baseline import LinearBaseline
 from lfked.checkpoint import load_checkpoint, save_checkpoint
 from lfked.corpus import (
@@ -31,10 +33,18 @@ from lfked.corpus import (
     save_dataset,
 )
 from lfked.datagen import KEYWORDS_PER_EXAMPLE, POSITIVES_PER_MENTION, generate_lfk
-from lfked.encoding import WordTable, load_embeddings, write_embeddings
-from lfked.models import Model, ModelConfig
+from lfked.encoding import (
+    EmbeddingTable,
+    PositionTable,
+    WordTable,
+    encode,
+    load_embeddings,
+    write_embeddings,
+)
+from lfked.models import Model, ModelConfig, PositionTaps
 from lfked.seeding import rng_for
 
+from lookups import gathered
 from test_models import tiny_config, tiny_emb
 
 VOCAB = [f"w{i}" for i in range(12)]
@@ -71,9 +81,54 @@ def batches(draw):
 def test_forward_batch_rows_equal_the_per_example_forward(batch, windows, variant, layers):
     model = Model(tiny_config(windows=tuple(windows), layers=layers).with_variant(variant),
                   tiny_emb())
-    packed = model.forward_batch(batch).data
     alone = np.stack([model.forward(ex).data for ex in batch])
-    err = np.abs(packed - alone).max() / np.abs(alone).max()
+    # logits_batch runs layer 1 from PositionTaps, the other two through
+    # conv1d_tables
+    for packed in (model.forward_batch(batch).data, model.logits_batch(batch)):
+        err = np.abs(packed - alone).max() / np.abs(alone).max()
+        assert err <= 1e-12, f"relative error {err:.3e}"
+
+
+# Embeddings hold w0-w7; a WordTable holds w0-w6, so w7 keeps its frozen
+# vector and w8, w9 are out of vocabulary.
+TAP_TOKENS = [f"w{i}" for i in range(10)]
+
+
+@st.composite
+def packed_sentences(draw):
+    """Sentences of 1-70 tokens, each anchored at an edge or anywhere."""
+    lengths = draw(st.lists(st.integers(1, 70), min_size=1, max_size=5))
+    anchors = [draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1)) for n in lengths]
+    tokens = draw(st.lists(st.sampled_from(TAP_TOKENS), min_size=sum(lengths),
+                           max_size=sum(lengths)))
+    return tokens, lengths, anchors
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed=packed_sentences(),
+       windows=st.sampled_from([(1,), (2,), (5, 2, 4), (1, 2, 3, 4, 5)]),
+       max_offset=st.sampled_from([0, 4]), finetune=st.booleans(),
+       wider=st.tuples(st.integers(0, 3), st.integers(0, 3)), seed=st.integers(0, 2**16))
+def test_position_taps_equal_conv_of_the_gathered_rows(packed, windows, max_offset, finetune,
+                                                       wider, seed):
+    # The tables may cover more offsets than these sentences reach, as a
+    # pass's tables do for each of its chunks.
+    tokens, lengths, anchors = packed
+    rng = np.random.default_rng(seed)
+    emb = EmbeddingTable({t: rng.normal(size=3) for t in TAP_TOKENS[:8]}, 3)
+    words = None
+    if finetune:
+        words = WordTable(emb, TAP_TOKENS[:7])
+        words.matrix.data += rng.normal(scale=0.1, size=words.matrix.shape)
+    pos = PositionTable(2, max_offset, rng)
+    pairs = [(Tensor(rng.uniform(-1, 1, (w, 5, 2))), Tensor(rng.uniform(-1, 1, 2)))
+             for w in windows]
+    lookups = encode(tokens, lengths, anchors, emb, pos, words)
+    want = ad.conv1d_same(gathered(lookups), pairs, lengths=lengths).data
+    lo = -max(anchors) - wider[0]
+    hi = max(n - 1 - a for n, a in zip(lengths, anchors)) + wider[1]
+    got = PositionTaps(pos, pairs, lo, hi).conv(*lookups[1], lengths, anchors)
+    err = np.abs(got - want).max() / np.abs(want).max()
     assert err <= 1e-12, f"relative error {err:.3e}"
 
 
