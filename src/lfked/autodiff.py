@@ -374,13 +374,9 @@ def _conv_rows(pairs, lengths, n: int, inputs):
                 b.grad += g[:, cols].sum(axis=0)
             if filt.requires_grad:
                 _defer(_conv_filters_grad, filt, (padded[off:off + n_pad - (W - w)], g_at[:, cols]))
-            for _, in_cols, _, dcol in trained:
-                f_in = filt.data[:, in_cols]
-                if f_in.flags.c_contiguous:   # all of d_in: one product over all taps
-                    f_in = f_in.reshape(w * dcol.shape[2], -1)
-                    dcol[:, off:off + w] += (g_at[:, cols] @ f_in.T).reshape(len(g_at), w, -1)
-                else:   # one table's columns: one per tap, uncopied, in 0.55x the time
-                    dcol[:, off:off + w] += (g_at[:, cols] @ f_in.transpose(0, 2, 1)).swapaxes(0, 1)
+            for _, in_cols, _, dcol in trained:   # one product per tap
+                f_in = filt.data[:, in_cols].transpose(0, 2, 1)
+                dcol[:, off:off + w] += (g_at[:, cols] @ f_in).swapaxes(0, 1)
         for t, _, index, dcol in trained:
             dpad = np.zeros((n_pad, dcol.shape[2]))
             # Descending taps add to each row in np.add.at's order, so the

@@ -39,8 +39,7 @@ class Sentence:
         if not self.tokens:
             raise ValueError("empty token list")
         for m in self.mentions:
-            if not 0 <= m.anchor < len(self.tokens):
-                raise ValueError(f"anchor {m.anchor} outside 0..{len(self.tokens) - 1}")
+            check_anchor(m.anchor, len(self.tokens))
 
 
 @dataclass(kw_only=True)
@@ -106,6 +105,12 @@ class TriggerLexicon:
         return self.triggers.get(subtype, set())
 
 
+def check_anchor(anchor, n):
+    """Raise ValueError for an anchor outside a sentence of n tokens."""
+    if not 0 <= anchor < n:
+        raise ValueError(f"anchor {anchor} outside 0..{n - 1}")
+
+
 def check_keywords(keywords):
     """Raise ValueError for an empty keyword set or one that repeats a keyword."""
     if not keywords:
@@ -129,8 +134,7 @@ class LFKExample:
     def validate(self):
         if not self.tokens:
             raise ValueError("empty token list")
-        if not 0 <= self.anchor < len(self.tokens):
-            raise ValueError(f"anchor {self.anchor} outside 0..{len(self.tokens) - 1}")
+        check_anchor(self.anchor, len(self.tokens))
         check_keywords(self.keywords)
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")

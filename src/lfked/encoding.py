@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .autodiff import Tensor, concat, take_rows, weighted_row_sum
-from .corpus import check_keywords
+from .corpus import check_anchor, check_keywords
 from .seeding import rng_for
 
 log = logging.getLogger(__name__)
@@ -185,8 +185,7 @@ class WordTable:
 def check_anchors(anchors, lengths):
     """Raise ValueError for the first anchor outside its sentence."""
     for anchor, n in zip(np.asarray(anchors).tolist(), np.asarray(lengths).tolist()):
-        if not 0 <= anchor < n:
-            raise ValueError(f"anchor {anchor} outside 0..{n - 1}")
+        check_anchor(anchor, n)
 
 
 def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Tensor:

@@ -9,8 +9,9 @@ dev-set evaluation), so the CNN models and the linear baseline share the loop.
 A step over a mini-batch of B examples zeroes the gradients, then records
 each example's loss scaled by 1/B on a tape of its own and runs that tape's
 backward at once, so only one example's activations are alive at a time.
-The step then checks the summed loss and applies Adadelta, whose read of each
-weight's `.grad` sums the gradient factors the backwards queued on it.
+The step then checks the summed loss and applies Adadelta, which evaluates its
+update formula as written; its read of each weight's `.grad` sums the
+gradient factors the backwards queued on it.
 Each epoch's log line carries the process's peak resident memory so far.
 An optional `on_step` callback gets a StepInfo after each step; without one,
 the loop reads no clock per step.
@@ -42,9 +43,9 @@ class Adadelta:
     sqrt(E[g2]+eps) * g with the previous E[dx2]; E[dx2] <- rho E[dx2] +
     (1-rho) dx2; param += lr * dx.
 
-    The step runs in place, through two scratch buffers sized to the largest
-    parameter and shared by all of them, in the same operation order as the
-    formula above, so no parameter-sized temporaries are allocated per step.
+    The step evaluates the formula above as written, with numpy temporaries;
+    the CLI keeps freed memory in the process (cli.keep_freed_memory), so
+    they reuse the heap from step to step.
     """
 
     def __init__(self, params: dict[str, Tensor], rho: float = 0.95,
@@ -59,8 +60,6 @@ class Adadelta:
         self.lr = lr
         self.sq_grad = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.sq_delta = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._scratch = np.empty((2, max((p.data.size for p in self.params.values()),
-                                         default=0)))
 
     def step(self):
         rho, eps, lr = self.rho, self.eps, self.lr
@@ -70,24 +69,12 @@ class Adadelta:
                 raise RuntimeError(f"parameter {name!r} has no gradient buffer")
             eg = self.sq_grad[name]
             ed = self.sq_delta[name]
-            a, b = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
             eg *= rho
-            np.multiply(1.0 - rho, g, out=a)
-            a *= g
-            eg += a                                   # eg += (1-rho) * g * g
-            np.add(ed, eps, out=a)
-            np.sqrt(a, out=a)
-            np.negative(a, out=a)
-            np.add(eg, eps, out=b)
-            np.sqrt(b, out=b)
-            a /= b
-            a *= g                                    # a = dx
+            eg += (1.0 - rho) * g * g
+            dx = -np.sqrt(ed + eps) / np.sqrt(eg + eps) * g
             ed *= rho
-            np.multiply(1.0 - rho, a, out=b)
-            b *= a
-            ed += b                                   # ed += (1-rho) * dx * dx
-            np.multiply(lr, a, out=b)
-            p.data += b                               # param += lr * dx
+            ed += (1.0 - rho) * dx * dx
+            p.data += lr * dx
 
 
 @dataclass
@@ -154,9 +141,9 @@ class StepInfo:
 
 @dataclass
 class TrainResult:
-    best_epoch: int
-    best_f1: float
-    best_report: EvalReport
+    best_epoch: int = 0
+    best_f1: float = -1.0       # below every F1, so the first epoch is kept
+    best_report: EvalReport | None = None
     log: list[EpochLog] = field(default_factory=list)
     stopped_early: bool = False
 
@@ -226,12 +213,9 @@ def train(model, train_examples, dev_examples, config: TrainConfig,
 
     named = model.named_params()
     opt = Adadelta(named, lr=config.lr)
-    best_f1 = -1.0
-    best_epoch = 0
-    best_report = None
     best_snap = snapshot_params(named)
     since_improvement = 0
-    result = TrainResult(best_epoch=0, best_f1=0.0, best_report=None)
+    result = TrainResult()
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
 
     try:
@@ -278,10 +262,8 @@ def train(model, train_examples, dev_examples, config: TrainConfig,
             if progress:
                 progress(entry)
 
-            if report.f1 > best_f1:
-                best_f1 = report.f1
-                best_epoch = epoch
-                best_report = report
+            if report.f1 > result.best_f1:
+                result.best_f1, result.best_epoch, result.best_report = report.f1, epoch, report
                 best_snap = snapshot_params(named)
                 since_improvement = 0
             else:
@@ -294,7 +276,4 @@ def train(model, train_examples, dev_examples, config: TrainConfig,
             log_file.close()
 
     restore_params(named, best_snap)
-    result.best_epoch = best_epoch
-    result.best_f1 = best_f1
-    result.best_report = best_report
     return result

@@ -95,8 +95,8 @@ def test_adadelta_step_is_pure_given_state():
 
 
 def test_adadelta_in_place_step_is_bitwise_the_formula():
-    # Parameters of several sizes share the scratch buffers; each step must
-    # equal the update formula evaluated with fresh temporaries, bit for bit.
+    # Parameters of several sizes, five steps each: every step must equal the
+    # update formula evaluated with fresh temporaries, bit for bit.
     rng = rng_for(2, "ada")
     shapes = {"a": (3, 4, 5), "b": (7,), "c": (20, 3)}
     params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
@@ -434,8 +434,8 @@ def one_tape_gradients(model, batch, rng):
 def step_case(case, n=9, length=None, **config):
     """A model of one variant and a batch of n examples with sentences of
     1-12 tokens (or all of `length` tokens); `config` overrides model sizes."""
-    sizes = dict(windows=(2, 3, 5), filters=4, word_dim=8, pos_dim=4, attn_hidden=6,
-                 ffn_hidden=8) | config
+    sizes = dict(layers=1, windows=(2, 3, 5), filters=4, word_dim=8, pos_dim=4,
+                 attn_hidden=6, ffn_hidden=8) | config
     word_dim = sizes["word_dim"]
     rng = rng_for(0, "emb")
     vocab = [f"w{i}" for i in range(12)] + [f"k{i}" for i in range(4)]
@@ -447,8 +447,8 @@ def step_case(case, n=9, length=None, **config):
                                 tuple(f"k{j}" for j in range(1 + i % 4)), i % 2))
     if case == "baseline":
         return LinearBaseline(emb), batch
-    cfg = ModelConfig(head="attention", cfa=True, layers=1, dropout=0.5, max_offset=12,
-                      seed=2, **sizes)
+    cfg = ModelConfig(head="attention", cfa=True, dropout=0.5, max_offset=12, seed=2,
+                      **sizes)
     words = None
     if case == "finetune-words":
         words = WordTable(emb, vocab)
@@ -457,9 +457,14 @@ def step_case(case, n=9, length=None, **config):
     return Model(cfg, emb, words=words), batch
 
 
-@pytest.mark.parametrize("case", ["attention-cfa", "concat", "finetune-words", "baseline"])
-def test_streamed_step_matches_one_tape_step(case):
-    model, batch = step_case(case)
+@pytest.mark.parametrize("case, layers", [
+    *(pytest.param(case, 1, id=case)
+      for case in ("attention-cfa", "concat", "finetune-words", "baseline")),
+    # layer 2 runs a taped conv1d_same, whose input gradient feeds layer 1
+    pytest.param("attention-cfa", 2, id="attention-cfa-2-layers"),
+])
+def test_streamed_step_matches_one_tape_step(case, layers):
+    model, batch = step_case(case, layers=layers)
     want_loss, want = one_tape_gradients(model, batch, rng_for(4, "dropout", 1))
     named = model.named_params()
     got_loss = batch_gradients(model, named.values(), batch, rng_for(4, "dropout", 1))
