@@ -230,13 +230,13 @@ def cmd_train(args) -> int:
             given = {k: getattr(args, k) for k in MODEL_FIELDS}
             given.update(layers=m, windows=_parse_windows(args.windows), word_dim=emb.dim)
             config = ModelConfig(**given, seed=args.seed).with_variant(args.model)
-            config.validate()
             words = (WordTable(emb, {t for ex in (*train_set, *dev_set)
                                      for t in (*ex.tokens, *ex.keywords)})
                      if args.finetune_words else None)
             model = Model(config, emb, words=words)
-        results[m] = train(model, train_set, dev_set, train_cfg,
-                           log_path=out / f"train_log{tag}.jsonl", progress=_print_epoch)
+        with open(out / f"train_log{tag}.jsonl", "w", encoding="utf-8") as log:
+            results[m] = train(model, train_set, dev_set, train_cfg,
+                               progress=lambda entry: _log_epoch(log, entry))
         save_checkpoint(model, out / f"model{tag}.ckpt", emb_path=args.embeddings)
 
     best_m = max(results, key=lambda m: results[m].best_f1)     # ties: fewest layers
@@ -262,7 +262,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _print_epoch(entry):
+def _log_epoch(log, entry):
+    """Write the epoch's line to the open train log and print its summary."""
+    log.write(entry.as_json() + "\n")
+    log.flush()
     print(f"epoch {entry.epoch:>3}  loss {entry.train_loss:.4f}  "
           f"dev F1 {entry.dev_f1:.3f}  ({entry.seconds:.1f}s)")
 

@@ -12,9 +12,10 @@ backward at once, so only one example's activations are alive at a time.
 The step then checks the summed loss and applies Adadelta, which evaluates its
 update formula as written; its read of each weight's `.grad` sums the
 gradient factors the backwards queued on it.
-Each epoch's log line carries the process's peak resident memory so far.
-An optional `on_step` callback gets a StepInfo after each step; without one,
-the loop reads no clock per step.
+Every step is timed into a StepInfo, which an optional `on_step` callback
+receives. The loop writes no file: each epoch's EpochLog, which carries the
+process's peak resident memory so far, goes to the `progress` callback and
+into the returned TrainResult.
 """
 
 from __future__ import annotations
@@ -172,39 +173,33 @@ def _epoch_examples(examples, config: TrainConfig, epoch: int):
     return [pool[i] for i in order]
 
 
-def _no_clock() -> float:
-    return 0.0
-
-
-def batch_gradients(model, params, batch, rng, info: StepInfo | None = None) -> float:
+def batch_gradients(model, params, batch, rng) -> tuple[float, float, float]:
     """Set each parameter's `.grad` to the gradient of the batch's mean
-    training loss, one example per tape (see the module docstring), and
-    return the sum of the examples' losses, added in batch order. With
-    `info`, also set its tapes and its forward and backward seconds."""
-    clock = _no_clock if info is None else time.perf_counter
+    training loss, one example per tape (see the module docstring). Return
+    the sum of the examples' losses, added in batch order, and the seconds
+    spent in their forwards and in their backwards."""
     scale = Tensor(1.0 / len(batch))
     total = forward_s = backward_s = 0.0
     zero_grads(params)
     for ex in batch:
-        t0 = clock()
+        t0 = time.perf_counter()
         with Tape() as tape:
             loss = model.loss(ex, train=True, rng=rng)
-            t1 = clock()
+            t1 = time.perf_counter()
             tape.backward(mul(loss, scale))
         forward_s += t1 - t0
-        backward_s += clock() - t1
+        backward_s += time.perf_counter() - t1
         total += float(loss.data)
-    if info is not None:
-        info.tapes, info.forward_s, info.backward_s = len(batch), forward_s, backward_s
-    return total
+    return total, forward_s, backward_s
 
 
 def train(model, train_examples, dev_examples, config: TrainConfig,
-          log_path=None, progress=None, on_step=None) -> TrainResult:
+          progress=None, on_step=None) -> TrainResult:
     """Train until the epoch budget or patience runs out; the model is left
     holding the parameters of the best dev-F1 epoch (ties keep the earlier
-    epoch). `on_step(info)`, if given, is called with a StepInfo after each
-    optimizer step, and for a non-finite step before NumericError."""
+    epoch). `progress(entry)`, if given, is called with each epoch's EpochLog;
+    `on_step(info)` with each step's StepInfo after its optimizer step, and
+    for a non-finite step before NumericError."""
     config.validate()
     if not train_examples or not dev_examples:
         raise ValueError("train and dev datasets must be non-empty")
@@ -216,64 +211,54 @@ def train(model, train_examples, dev_examples, config: TrainConfig,
     best_snap = snapshot_params(named)
     since_improvement = 0
     result = TrainResult()
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
 
-    try:
-        for epoch in range(1, config.epochs + 1):
-            started = time.perf_counter()
-            dropout_rng = rng_for(config.seed, "dropout", epoch)
-            examples = _epoch_examples(train_examples, config, epoch)
+    for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
+        dropout_rng = rng_for(config.seed, "dropout", epoch)
+        examples = _epoch_examples(train_examples, config, epoch)
 
-            loss_sum = 0.0
-            for step, start in enumerate(range(0, len(examples), config.batch_size)):
-                batch = examples[start : start + config.batch_size]
-                info = None if on_step is None else StepInfo(
-                    epoch, step, len(batch), sum(len(ex.tokens) for ex in batch),
-                    time.perf_counter())
-                total = batch_gradients(model, named.values(), batch, dropout_rng, info)
-                finite = bool(np.isfinite(total))
-                if finite:
-                    loss_sum += total
-                    optimizer_started = 0.0 if info is None else time.perf_counter()
-                    opt.step()
-                if info is not None:
-                    ended = time.perf_counter()
-                    if finite:
-                        info.optimizer_s = ended - optimizer_started
-                    info.seconds, info.loss, info.finite = ended - info.started, total, finite
-                    on_step(info)
-                if not finite:
-                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
+        loss_sum = 0.0
+        for step, start in enumerate(range(0, len(examples), config.batch_size)):
+            batch = examples[start : start + config.batch_size]
+            info = StepInfo(epoch, step, len(batch), sum(len(ex.tokens) for ex in batch),
+                            time.perf_counter(), tapes=len(batch))
+            info.loss, info.forward_s, info.backward_s = batch_gradients(
+                model, named.values(), batch, dropout_rng)
+            info.finite = bool(np.isfinite(info.loss))
+            if info.finite:
+                loss_sum += info.loss
+                optimizer_started = time.perf_counter()
+                opt.step()
+                info.optimizer_s = time.perf_counter() - optimizer_started
+            info.seconds = time.perf_counter() - info.started
+            if on_step:
+                on_step(info)
+            if not info.finite:
+                raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
 
-            report = evaluate(model, dev_examples)
-            entry = EpochLog(
-                epoch=epoch,
-                train_loss=loss_sum / len(examples),
-                dev_p=report.precision,
-                dev_r=report.recall,
-                dev_f1=report.f1,
-                seconds=round(time.perf_counter() - started, 3),
-                peak_rss_mb=peak_rss_mb(),
-            )
-            result.log.append(entry)
-            if log_file:
-                log_file.write(entry.as_json() + "\n")
-                log_file.flush()
-            if progress:
-                progress(entry)
+        report = evaluate(model, dev_examples)
+        entry = EpochLog(
+            epoch=epoch,
+            train_loss=loss_sum / len(examples),
+            dev_p=report.precision,
+            dev_r=report.recall,
+            dev_f1=report.f1,
+            seconds=round(time.perf_counter() - started, 3),
+            peak_rss_mb=peak_rss_mb(),
+        )
+        result.log.append(entry)
+        if progress:
+            progress(entry)
 
-            if report.f1 > result.best_f1:
-                result.best_f1, result.best_epoch, result.best_report = report.f1, epoch, report
-                best_snap = snapshot_params(named)
-                since_improvement = 0
-            else:
-                since_improvement += 1
-                if since_improvement >= config.patience:
-                    result.stopped_early = True
-                    break
-    finally:
-        if log_file:
-            log_file.close()
+        if report.f1 > result.best_f1:
+            result.best_f1, result.best_epoch, result.best_report = report.f1, epoch, report
+            best_snap = snapshot_params(named)
+            since_improvement = 0
+        else:
+            since_improvement += 1
+            if since_improvement >= config.patience:
+                result.stopped_early = True
+                break
 
     restore_params(named, best_snap)
     return result

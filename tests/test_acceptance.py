@@ -30,7 +30,7 @@ from lfked.corpus import (
 from lfked.datagen import generate_lfk
 from lfked.encoding import EmbeddingTable, load_embeddings
 from lfked.gradcheck import check_all
-from lfked.metrics import evaluate
+from lfked.metrics import evaluate, report_from_counts
 from lfked.models import Model, ModelConfig, identity_cfa_surgery
 from lfked.baseline import LinearBaseline
 from lfked.training import Adadelta, TrainConfig, train
@@ -91,6 +91,24 @@ def random_examples(count, emb, rng):
         out.append(LFKExample(tokens=tokens, anchor=int(rng.integers(n)),
                               keywords=keywords, label=int(rng.integers(2))))
     return out
+
+
+def subtype_f1(examples, report) -> dict[str, float]:
+    """F1 per source_subtype, counted from the report's kept predictions."""
+    counts = {}
+    for ex, pred in zip(examples, report.predictions, strict=True):
+        tp_fp_fn = counts.setdefault(ex.source_subtype, [0, 0, 0])
+        if pred == 1 and ex.label == 1:
+            tp_fp_fn[0] += 1
+        elif pred == 1:
+            tp_fp_fn[1] += 1
+        elif ex.label == 1:
+            tp_fp_fn[2] += 1
+    return {sub: report_from_counts(*c).f1 for sub, c in sorted(counts.items())}
+
+
+def fmt_subtypes(f1s: dict[str, float]) -> str:
+    return " ".join(f"{sub} {f1:.3f}" for sub, f1 in f1s.items())
 
 
 def tiny_config(seed=21, **overrides):
@@ -253,17 +271,22 @@ def test_c07_learning_signal(default_splits):
     model = Model(ModelConfig(word_dim=50, seed=0), emb)  # attention-cfa
     train(model, train_set, dev_set, TrainConfig(epochs=30, patience=30, seed=0))
     cfa_seconds = time.time() - t0
-    cfa_f1 = evaluate(model, test_set).f1
+    cfa_report = evaluate(model, test_set, keep_predictions=True)
+    cfa_f1 = cfa_report.f1
     assert cfa_seconds < 600.0
     assert cfa_f1 >= 0.90
 
     base = LinearBaseline(emb)
     train(base, train_set, dev_set, TrainConfig(epochs=30, patience=30, seed=0))
-    base_f1 = evaluate(base, test_set).f1
+    base_report = evaluate(base, test_set, keep_predictions=True)
+    base_f1 = base_report.f1
     assert base_f1 >= 0.70
     print(f"acceptance 07 learning-signal: PASS  attention-cfa test F1 "
           f"{cfa_f1:.3f} >= 0.90 in {cfa_seconds:.0f}s (30 epochs, budget "
           f"600s); word2vec baseline F1 {base_f1:.3f} >= 0.70")
+    # report only: pooled F1 can hide a weak held-out subtype
+    print(f"  test F1 by subtype: attention-cfa {fmt_subtypes(subtype_f1(test_set, cfa_report))}"
+          f"; baseline {fmt_subtypes(subtype_f1(test_set, base_report))}")
 
 
 # -- gate 8: attention vs attention-cfa across seeds (report only) -------
@@ -271,15 +294,19 @@ def test_c07_learning_signal(default_splits):
 @pytest.mark.slow
 def test_c08_cfa_ordering_report(default_splits):
     emb, (train_set, dev_set, test_set) = default_splits
-    scores = {}
+    scores, by_subtype = {}, {}
     for variant in ("attention", "attention-cfa"):
-        per_seed = []
+        per_seed, subtypes = [], []
         for seed in range(5):
             model = Model(ModelConfig(word_dim=50, seed=seed).with_variant(variant), emb)
             train(model, train_set, dev_set,
                   TrainConfig(epochs=15, patience=15, seed=seed))
-            per_seed.append(evaluate(model, test_set).f1)
+            report = evaluate(model, test_set, keep_predictions=True)
+            per_seed.append(report.f1)
+            subtypes.append(subtype_f1(test_set, report))
         scores[variant] = per_seed
+        by_subtype[variant] = {sub: float(np.mean([s[sub] for s in subtypes]))
+                               for sub in subtypes[0]}
     mean_att = float(np.mean(scores["attention"]))
     mean_cfa = float(np.mean(scores["attention-cfa"]))
     trend = "holds" if mean_cfa >= mean_att else "does not hold"
@@ -287,6 +314,8 @@ def test_c08_cfa_ordering_report(default_splits):
     print("acceptance 08 cfa-ordering (report only, not gated):")
     print(f"  attention      per-seed {fmt(scores['attention'])} mean {mean_att:.3f}")
     print(f"  attention-cfa  per-seed {fmt(scores['attention-cfa'])} mean {mean_cfa:.3f}")
+    for variant, means in by_subtype.items():
+        print(f"  {variant:<14} mean F1 by subtype: {fmt_subtypes(means)}")
     print(f"  mean(attention-cfa) >= mean(attention) {trend} at this budget "
           "(15 epochs; on this synthetic geometry keywords carry no extra "
           "signal, so the two variants are expected to tie approximately)")

@@ -397,6 +397,8 @@ def test_train_numeric_failure_exit_code(synth_dir, data_dir, tmp_path, capsys):
                          "--seed", 0)
         assert rc == want
         assert ("non-finite value" if want == 2 else "numeric") in capsys.readouterr().err
+    # the failed epoch leaves its log present and empty
+    assert (tmp_path / "x" / "train_log.jsonl").read_text() == ""
 
 
 # One config file with a value of every type; the run also gives --epochs.

@@ -234,21 +234,20 @@ def test_train_loss_decreases_on_separable_data():
     assert result.log[4].train_loss < result.log[0].train_loss
 
 
-def test_same_seed_reproduces_training_log(tmp_path):
-    def run(log_name):
+def test_same_seed_reproduces_training_log():
+    def run():
         model = BiasOnlyModel()
         data = tiny_examples(4, 4)
-        path = tmp_path / log_name
-        train(model, data, data, TrainConfig(batch_size=3, epochs=4, seed=7), log_path=path)
-        return model.logits.data.copy(), path.read_text()
+        result = train(model, data, data, TrainConfig(batch_size=3, epochs=4, seed=7))
+        return model.logits.data.copy(), result.log
 
-    params_a, log_a = run("a.jsonl")
-    params_b, log_b = run("b.jsonl")
+    params_a, log_a = run()
+    params_b, log_b = run()
     assert (params_a == params_b).all()
 
     # logs identical apart from wall-clock seconds and the process's peak memory
-    def strip(text):
-        rows = [json.loads(line) for line in text.splitlines()]
+    def strip(log):
+        rows = [json.loads(entry.as_json()) for entry in log]
         for r in rows:
             assert set(r) == {"epoch", "train_loss", "dev_p", "dev_r", "dev_f1", "seconds",
                               "peak_rss_mb"}
@@ -339,11 +338,10 @@ def test_on_step_reports_each_step_of_each_epoch():
 def test_on_step_changes_no_checkpoint_byte(tmp_path):
     def run(name, on_step):
         model, data = cnn_and_data()
-        log = tmp_path / f"{name}.jsonl"
-        train(model, data, data, TrainConfig(batch_size=4, epochs=3, seed=5),
-              log_path=log, on_step=on_step)
+        result = train(model, data, data, TrainConfig(batch_size=4, epochs=3, seed=5),
+                       on_step=on_step)
         save_checkpoint(model, tmp_path / f"{name}.ckpt")
-        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        rows = [json.loads(entry.as_json()) for entry in result.log]
         return (tmp_path / f"{name}.ckpt").read_bytes(), [
             {k: v for k, v in r.items() if k not in ("seconds", "peak_rss_mb")} for r in rows]
 
@@ -467,8 +465,10 @@ def test_streamed_step_matches_one_tape_step(case, layers):
     model, batch = step_case(case, layers=layers)
     want_loss, want = one_tape_gradients(model, batch, rng_for(4, "dropout", 1))
     named = model.named_params()
-    got_loss = batch_gradients(model, named.values(), batch, rng_for(4, "dropout", 1))
+    got_loss, forward_s, backward_s = batch_gradients(model, named.values(), batch,
+                                                      rng_for(4, "dropout", 1))
     assert got_loss == want_loss
+    assert forward_s > 0.0 and backward_s > 0.0
     largest = max(np.abs(g).max() for g in want.values())
     assert largest > 0
     for name, t in named.items():
