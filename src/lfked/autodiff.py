@@ -13,22 +13,28 @@ read them take one product or broadcast per sentence, never a copy of its row
 per token, so a packed output is bitwise each sentence alone. `conv1d_same`
 takes the list of (filters, bias) pairs of one or several window sizes and
 runs them from one padded copy and one im2col matrix at the widest window.
-`conv1d_tables` runs the same convolution over rows made of table lookups:
-it writes the rows into `conv1d_same`'s padded layout and shares its
-forward and backward, back-propagating into trainable tables only.
+`conv1d_tables` is the first layer's convolution, over rows made of a
+position and a word lookup: it reads `Taps`, the layer's weights applied
+once to every position signature and word it can read, with gathers and
+adds.
 
-During the reverse replay the rules of `affine` and the im2col convolutions
-queue the factors of their weight's gradient on the weight instead of adding
-a full-size product per call. Reading a tensor's `.grad` first sums its queue,
-each weight with one matrix product, so `.grad` is complete whenever it is
-read: by the rule of the op that made a weight, by an optimizer or by a test.
-A training step can thus record and replay one example per tape, freeing
-each example's activations before the next runs, and still sum each weight
-once, when the optimizer reads its gradient.
+During the reverse replay the rules of `affine`, `conv1d_same` and
+`conv1d_tables` queue their weights' gradient on the weights instead of
+adding a full-size product per call: the factors of one matrix product, or
+for `conv1d_tables` the output gradient and the sentences it came from.
+Reading a tensor's `.grad` first sums its queue, each weight with one matrix
+product and the first layer's weights and tables with one grouped sum, so
+`.grad` is complete whenever it is read: by the rule of the op that made a
+weight, by an optimizer or by a test. A training step can thus record and
+replay one example per tape, freeing each example's activations before the
+next runs, and still sum each weight once, when the optimizer reads its
+gradient.
 """
 
 from __future__ import annotations
 
+import copy
+import operator
 import threading
 
 import numpy as np
@@ -315,7 +321,7 @@ def _layout(pairs, lengths, n: int):
     return W, left, start, gapped, n + W - 1 + right * (len(lengths) - 1)
 
 
-def _taps(pairs, left: int):
+def _placements(pairs, left: int):
     """Per window: its width w, the tap of the W-wide window where it starts,
     (W-1)//2 - (w-1)//2, and its block of output columns."""
     out, stop = [], 0
@@ -342,54 +348,6 @@ def _conv_pairs(name, pairs, d_in: int):
     return pairs
 
 
-def _conv_rows(pairs, lengths, n: int, inputs):
-    """conv1d_same of n rows that `inputs` put together: per (tensor, columns,
-    index), the tensor's rows (index None) or the rows index reads. Returns
-    the output, the tape if recording, and the op's backward given the output
-    gradient, which computes the input gradient only of the tensors that
-    require grad and adds it into each: as is, or with one np.add.at."""
-    W, left, start, gapped, n_pad = _layout(pairs, lengths, n)
-    padded = np.zeros((n_pad, sum(cols.stop - cols.start for _, cols, _ in inputs)))
-    for t, cols, index in inputs:
-        padded[left:][start, cols] = t.data if index is None else t.data.take(index, axis=0)
-    d_in = padded.shape[1]
-    windows = np.arange(n_pad - (W - 1))[start]
-    col = padded[windows[:, None] + np.arange(W)].reshape(n, W * d_in)
-    taps = _taps(pairs, left)
-    data = np.empty((n, sum(b.data.shape[0] for _, b in pairs)))
-    for (filt, b), (w, off, cols) in zip(pairs, taps):
-        data[:, cols] = col[:, off * d_in:(off + w) * d_in] @ filt.data.reshape(w * d_in, -1) + b.data
-    out, tape = _out(data, *(t for t, _, _ in inputs), *(t for pair in pairs for t in pair))
-
-    def backward(g):
-        # output gradients by window start row; zero where no window starts
-        g_at = g
-        if gapped:
-            g_at = np.zeros((n_pad - (W - 1), g.shape[1]))
-            g_at[start] = g
-        trained = [(t, cols, index, np.zeros((len(g_at), W, cols.stop - cols.start)))
-                   for t, cols, index in inputs if t.requires_grad]
-        for (filt, b), (w, off, cols) in zip(pairs, taps):
-            if b.requires_grad:
-                b.grad += g[:, cols].sum(axis=0)
-            if filt.requires_grad:
-                _defer(_conv_filters_grad, filt, (padded[off:off + n_pad - (W - w)], g_at[:, cols]))
-            for _, in_cols, _, dcol in trained:   # one product per tap
-                f_in = filt.data[:, in_cols].transpose(0, 2, 1)
-                dcol[:, off:off + w] += (g_at[:, cols] @ f_in).swapaxes(0, 1)
-        for t, _, index, dcol in trained:
-            dpad = np.zeros((n_pad, dcol.shape[2]))
-            # Descending taps add to each row in np.add.at's order, so the
-            # sum is bitwise the same.
-            for j in range(W - 1, -1, -1):
-                dpad[j:j + len(g_at)] += dcol[:, j]
-            if index is None:
-                t.grad += dpad[left:][start]
-            else:
-                np.add.at(t.grad, index, dpad[left:][start])
-    return out, tape, backward
-
-
 def conv1d_same(seq: Tensor, pairs, lengths=None) -> Tensor:
     """1-D convolution over the sequence axis with zero padding, length-preserving,
     of every sentence packed in seq, for one or several window sizes.
@@ -404,38 +362,261 @@ def conv1d_same(seq: Tensor, pairs, lengths=None) -> Tensor:
         raise ShapeError(f"conv1d_same expects an (n,d) sequence, got {seq.shape}")
     n, d_in = seq.data.shape
     pairs = _conv_pairs("conv1d_same", pairs, d_in)
-    out, tape, backward = _conv_rows(pairs, lengths, n, [(seq, slice(0, d_in), None)])
+    W, left, start, gapped, n_pad = _layout(pairs, lengths, n)
+    padded = np.zeros((n_pad, d_in))
+    padded[left:][start] = seq.data
+    windows = np.arange(n_pad - (W - 1))[start]
+    col = padded[windows[:, None] + np.arange(W)].reshape(n, W * d_in)
+    placed = _placements(pairs, left)
+    data = np.empty((n, sum(b.data.shape[0] for _, b in pairs)))
+    for (filt, b), (w, off, cols) in zip(pairs, placed):
+        data[:, cols] = col[:, off * d_in:(off + w) * d_in] @ filt.data.reshape(w * d_in, -1) + b.data
+    out, tape = _out(data, seq, *(t for pair in pairs for t in pair))
     if tape is not None:
-        tape._record(lambda: backward(out.grad))
+        def rule(out=out, seq=seq):
+            g = out.grad
+            # output gradients by window start row; zero where no window starts
+            g_at = g
+            if gapped:
+                g_at = np.zeros((n_pad - (W - 1), g.shape[1]))
+                g_at[start] = g
+            dcol = np.zeros((len(g_at), W, d_in)) if seq.requires_grad else None
+            for (filt, b), (w, off, cols) in zip(pairs, placed):
+                if b.requires_grad:
+                    b.grad += g[:, cols].sum(axis=0)
+                if filt.requires_grad:
+                    _defer(_conv_filters_grad, filt,
+                           (padded[off:off + n_pad - (W - w)], g_at[:, cols]))
+                if dcol is not None:    # one product per tap
+                    f_in = filt.data.transpose(0, 2, 1)
+                    dcol[:, off:off + w] += (g_at[:, cols] @ f_in).swapaxes(0, 1)
+            if dcol is not None:
+                dpad = np.zeros((n_pad, d_in))
+                for j in range(W - 1, -1, -1):
+                    dpad[j:j + len(g_at)] += dcol[:, j]
+                seq.grad += dpad[left:][start]
+        tape._record(rule)
     return out
 
 
-def conv1d_tables(lookups, pairs, lengths=None) -> Tensor:
-    """conv1d_same of rows made of table lookups.
+def _group(keys: np.ndarray):
+    """The rows of each distinct key, for _group_sum: (order, starts, keys),
+    rows sorted stably by key, where each key's run starts, and its key."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return order, starts, ordered[starts]
 
-    `lookups` is a list of K (table (U_k, d_k), index (n,) ints) pairs, and
-    row r of the sequence is the rows it indexes, side by side: the result is
-    conv1d_same(concat([take_rows(table, index), ...], axis=1), pairs,
-    lengths=lengths), d_in being the sum of the d_k. The rows are written
-    straight into conv1d_same's padded layout, and the backward adds the
-    input gradient into the trainable tables only, into the rows read (see
-    _conv_rows).
+
+def _group_sum(x: np.ndarray, group, size: int) -> np.ndarray:
+    """(size, width): row k is the sum of the rows of x whose key is k, in
+    row order, by one np.add.reduceat over the rows sorted by key."""
+    order, starts, keys = group
+    out = np.zeros((size, x.shape[1]))
+    out[keys] = np.add.reduceat(x.take(order, axis=0), starts, axis=0)
+    return out
+
+
+class Taps:
+    """Layer 1's (filters, bias) pairs applied once to every row layer 1 can
+    read, for conv1d_tables: built from the current parameters once per
+    training step, per forward without a step, or per scoring pass.
+
+    Layer 1 reads row i of an L-token sentence as the position row of its
+    offset from the anchor (a row of `pos.table`, clamped at
+    `pos.max_offset`) beside its word vector. A window of width w reads
+    lw = (w-1)//2 rows to the left and rw = w//2 to the right, so what its
+    position taps add to row i depends only on the row's signature: its
+    offset clamped to [-max_offset - rw, max_offset + lw] (past these, every
+    row the window reads clamps to the same position row), min(i, lw) and
+    min(L-1-i, rw) (its neighbours inside the sentence). Per window, the
+    signature table holds for each signature the bias plus the products of
+    the position rows read with their taps, added in tap order, over the
+    offsets lo..hi only. `with_words` adds the products of a set of word
+    vectors with every word tap, plus a zero row for reads outside a
+    sentence: 8 * f * w bytes per word and window. A row of layer 1 is its
+    signature row plus, tap by tap, the word taps of the word it reads: the
+    terms and order of conv1d_same's sum of products.
+
+    The backward runs the other way. conv1d_tables queues each output
+    gradient with its sentences on the taps' tensors, and the first `.grad`
+    read of any of them sums every queued call at once (`_sum`): by
+    signature row for the bias, the position taps and the position table,
+    and by word read for the word taps and a trainable word table.
     """
-    lookups = [(table, np.asarray(index, dtype=np.intp)) for table, index in lookups]
-    n = len(lookups[0][1]) if lookups else 0
-    for table, index in lookups:
-        if table.data.ndim != 2 or index.shape != (n,):
-            raise ShapeError(f"conv1d_tables expects (U,d) tables and {n} indices each, "
-                             f"got {table.shape} and {index.shape}")
-        if n and (index.min() < 0 or index.max() >= len(table.data)):
-            raise ShapeError(f"conv1d_tables index outside the {len(table.data)} table rows")
-    widths = np.cumsum([0] + [table.data.shape[1] for table, _ in lookups])
-    pairs = _conv_pairs("conv1d_tables", pairs, int(widths[-1]))
-    inputs = [(table, slice(a, b), index)
-              for (table, index), a, b in zip(lookups, widths[:-1], widths[1:])]
-    out, tape, backward = _conv_rows(pairs, lengths, n, inputs)
+
+    def __init__(self, pairs, pos, lo: int, hi: int):
+        self.pairs, self.pos, self.reach = list(pairs), pos, (lo, hi)
+        self.tensors = [t for pair in self.pairs for t in pair] + [pos.table]
+        self.vectors = self.products = self.trained = None
+        self.vocab = None          # word -> row of vectors, for a step's lookups
+        u, M = pos.dim, pos.max_offset
+        self.tables = []
+        for filt, b in self.pairs:
+            w, _, f = filt.data.shape
+            lw, rw = (w - 1) // 2, w // 2
+            first, last = max(lo, -M - rw), min(hi, M + lw)
+            count = max(last - first + 1, 0)
+            # tap j of the row at offset o reads the position row of offset
+            # o + j - lw, which is rows[o - first + j]
+            rows = pos.row_indices(np.arange(first - lw, first + count + rw))
+            products = np.matmul(pos.table.data[rows], filt.data[:, :u])
+            table = np.empty((count, lw + 1, rw + 1, f))
+            table[:] = b.data
+            for j in range(w):
+                # tap j reads a row of the sentence when the row has at least
+                # lw - j neighbours on its left and j - lw on its right
+                table[:, max(lw - j, 0):, max(j - lw, 0):] += products[j, j:j + count, None, None]
+            self.tables.append((first, last, rows, table.reshape(-1, f)))
+
+    def with_words(self, vectors: np.ndarray, trained=None) -> "Taps":
+        """These taps plus the word taps of `vectors`, the (V, d) word rows
+        conv1d_tables reads. `trained`, if given, is a (table, at, rows)
+        triple: vectors[at] are the rows `rows` of the trainable table, which
+        then gets their gradient; other word rows are constants."""
+        u = self.pos.dim
+        _conv_pairs("conv1d_tables", self.pairs, u + vectors.shape[1])
+        taps = copy.copy(self)
+        taps.vectors, taps.trained = vectors, trained
+        if trained is not None:
+            taps.tensors = self.tensors + [trained[0]]
+        taps.products = []
+        for filt, _ in self.pairs:
+            w, _, f = filt.data.shape
+            products = np.empty((w, len(vectors) + 1, f))
+            np.matmul(vectors, filt.data[:, u:], out=products[:, :len(vectors)])
+            products[:, len(vectors)] = 0.0
+            taps.products.append(products)
+        return taps
+
+    def _rows(self, index, lengths, anchors):
+        """Per row of sentences packed with these lengths and anchors, whose
+        words are the rows index reads: its place in its sentence, the rows
+        after it, its offset from the anchor, and per distance d from -lw to
+        rw of the widest window, the word row d rows on (len(vectors), a zero
+        products row, outside the sentence)."""
+        n = len(index)
+        lengths, starts = _segments(lengths, n)
+        anchors = np.asarray(anchors, dtype=np.intp)
+        if anchors.shape != lengths.shape:
+            raise ShapeError(f"conv1d_tables: {anchors.size} anchors for {len(lengths)} sentences")
+        if index.min() < 0 or index.max() >= len(self.vectors):
+            raise ShapeError(f"conv1d_tables index outside the {len(self.vectors)} word rows")
+        place = np.arange(n) - np.repeat(starts, lengths)
+        rest = np.repeat(lengths - 1, lengths) - place
+        offset = place - np.repeat(anchors, lengths)
+        if not (self.reach[0] <= offset.min() and offset.max() <= self.reach[1]):
+            raise ValueError(f"offsets {offset.min()}..{offset.max()} outside the "
+                             f"{self.reach[0]}..{self.reach[1]} these taps were built for")
+        W = max(filt.data.shape[0] for filt, _ in self.pairs)
+        reads = {d: np.where(place >= -d if d < 0 else rest >= d,
+                             index.take(np.arange(d, n + d), mode="clip"), len(self.vectors))
+                 for d in range(-((W - 1) // 2), W // 2 + 1)}
+        return place, rest, offset, reads
+
+    def _windows(self, place, rest, offset):
+        """Per window: (filters, bias), its signature table, the position
+        rows it was built from, its word products, lw, each row's signature
+        and the window's output columns."""
+        stop = 0
+        for (filt, b), (first, last, rows, table), products in zip(
+                self.pairs, self.tables, self.products):
+            w, _, f = filt.data.shape
+            lw, rw = (w - 1) // 2, w // 2
+            signature = (((np.minimum(np.maximum(offset, first), last) - first) * (lw + 1)
+                          + np.minimum(place, lw)) * (rw + 1) + np.minimum(rest, rw))
+            yield filt, b, table, rows, products, lw, signature, slice(stop, stop + f)
+            stop += f
+
+    def conv(self, index, lengths, anchors) -> np.ndarray:
+        """Layer 1's (n, sum of f) rows, before the activation (see the
+        class docstring and conv1d_tables)."""
+        place, rest, offset, reads = self._rows(index, lengths, anchors)
+        data = np.empty((len(index), sum(b.data.shape[0] for _, b in self.pairs)))
+        for filt, _, table, _, products, lw, signature, cols in self._windows(place, rest, offset):
+            acc = table.take(signature, axis=0)
+            for j in range(filt.data.shape[0]):
+                acc += products[j].take(reads[j - lw], axis=0)
+            data[:, cols] = acc
+        return data
+
+    def _queue(self, call):
+        """From conv1d_tables' rule: queue one call's (output gradient,
+        index, lengths, anchors) on every tensor of these taps that trains."""
+        for t in self.tensors:
+            if t.requires_grad:
+                _defer(self._sum, t, call)
+
+    def _sum(self, grad, calls):
+        """Add the gradient of the queued calls into every tensor of these
+        taps that holds them queued, and into `grad`, whose tensor's queue
+        the `.grad` read has just taken: the calls are packed into one batch
+        and their output gradient summed by signature row and by word read
+        (_group_sum), then multiplied out per window and tap."""
+        place, rest, offset, reads = self._rows(*(np.concatenate([c[k] for c in calls])
+                                                  for k in (1, 2, 3)))
+        by_read = {d: _group(r) for d, r in reads.items()}
+        u, V = self.pos.dim, len(self.vectors)
+        d_pos = np.zeros(self.pos.table.data.shape)
+        d_vectors = np.zeros(self.vectors.shape) if self.trained is not None else None
+        adds = []
+        for filt, b, table, rows, _, lw, signature, cols in self._windows(place, rest, offset):
+            w, _, f = filt.data.shape
+            # one window's columns at a time: a quarter of the output gradient
+            g_w = np.concatenate([c[0][:, cols] for c in calls])
+            count = len(rows) - (w - 1)
+            d_table = _group_sum(g_w, _group(signature), len(table)).reshape(count, lw + 1, -1, f)
+            d_filt = np.empty(filt.data.shape)
+            d_rows = np.zeros((len(rows), u))
+            positions = self.pos.table.data[rows]
+            for j in range(w):
+                # the gradient of every signature row that tap j adds to
+                g_j = d_table[:, max(lw - j, 0):, max(j - lw, 0):].sum(axis=(1, 2))
+                d_filt[j, :u] = positions[j:j + count].T @ g_j
+                d_rows[j:j + count] += g_j @ filt.data[j, :u].T
+                g_read = _group_sum(g_w, by_read[j - lw], V + 1)[:V]
+                d_filt[j, u:] = self.vectors.T @ g_read
+                if d_vectors is not None:
+                    d_vectors += g_read @ filt.data[j, u:].T
+            adds += [(filt, d_filt, None), (b, d_table.sum(axis=(0, 1, 2)), None)]
+            # rows repeats only where the offsets clamp, next to each other
+            first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+            d_pos[rows[first]] += np.add.reduceat(d_rows, first, axis=0)
+        adds.append((self.pos.table, d_pos, None))
+        if d_vectors is not None:
+            table, at, rows = self.trained
+            adds.append((table, d_vectors[at], rows))
+        for t, d, rows in adds:
+            if t._grad is not grad:     # a tensor whose queue holds these calls
+                queued = (t._queue or {}).get(self._sum, ())
+                if len(queued) != len(calls) or not all(map(operator.is_, queued, calls)):
+                    continue
+                del t._queue[self._sum]
+            if rows is None:
+                t._grad += d
+            else:
+                t._grad[rows] += d
+
+
+def conv1d_tables(taps: Taps, index, lengths, anchors) -> Tensor:
+    """Layer 1 from `taps`: conv1d_same, with the taps' (filters, bias)
+    pairs and lengths=lengths, of rows made of two table lookups side by
+    side: the position row of each token's offset from its sentence's anchor,
+    and the word vector `index` reads among the taps' words (see Taps).
+
+    The sum per row takes the terms of conv1d_same's, in its order. The rule
+    only queues the output gradient with the sentences on the taps' tensors
+    that train; the first `.grad` read of any of them sums every call queued
+    on them at once, so a training step's examples share one sum.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    if taps.vectors is None or index.ndim != 1 or not index.size:
+        raise ShapeError("conv1d_tables needs taps with words and a non-empty index")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    anchors = np.asarray(anchors, dtype=np.intp)
+    out, tape = _out(taps.conv(index, lengths, anchors), *taps.tensors)
     if tape is not None:
-        tape._record(lambda: backward(out.grad))
+        tape._record(lambda: taps._queue((out.grad, index, lengths, anchors)))
     return out
 
 
@@ -474,7 +655,9 @@ def take_rows(x: Tensor, indices) -> Tensor:
     out, tape = _out(x.data.take(idx, axis=0), x)
     if tape is not None:
         def rule(out=out, x=x, idx=idx):
-            np.add.at(x.grad, idx, out.grad)
+            # into the buffer, leaving x's queue for later: a word table's
+            # holds a whole training step's layer-1 gradient (see Taps)
+            np.add.at(x._grad, idx, out.grad)
         tape._record(rule)
     return out
 

@@ -59,7 +59,11 @@ class LinearBaseline:
     def forward(self, example) -> Tensor:
         return take_rows(self.forward_batch([example]), 0)
 
-    def loss(self, example, train: bool = False, rng=None) -> Tensor:
+    def step_taps(self, examples) -> None:
+        """Nothing is shared by the examples of a training step."""
+        return None
+
+    def loss(self, example, train: bool = False, rng=None, taps=None) -> Tensor:
         return cross_entropy(self.forward(example), example.label)
 
     def predict(self, example) -> int:

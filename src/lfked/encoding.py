@@ -3,13 +3,14 @@
 The encoder turns sentences, packed one after another with an anchor each,
 into the input of the first CNN layer: row i of a sentence is a position
 vector for offset i - anchor beside the word vector of token i, given as a
-lookup into each of two tables (see autodiff.conv1d_tables). A scoring pass
-reads the word lookup only: its position terms come from the pass's
-models.PositionTaps. The keyword encoder turns keyword sets into one row
-each; an empty set, or one that repeats a keyword, is refused with the
-message of corpus.LFKExample.validate. Word vectors are frozen by
-default; pass a WordTable to make them trainable. Position vectors are always
-learned.
+lookup into each of two tables. The first layer reads the word lookup: it
+takes the distinct words' vectors into its taps (autodiff.Taps), whose
+position terms come from the position table itself, and a trainable word
+table gets its gradient through them. The keyword encoder turns keyword
+sets into one row each; an empty set, or one that repeats a keyword, is
+refused with the message of corpus.LFKExample.validate. Word vectors are
+frozen by default; pass a WordTable to make them trainable. Position
+vectors are always learned.
 
 Embedding file format: one line per token, "token v1 v2 ... v_dim",
 space-separated decimal floats.
@@ -169,17 +170,35 @@ class WordTable:
                 f"token {e.args[0]!r} missing from the word table vocabulary"
             ) from e
 
+    def link(self, tokens) -> tuple[np.ndarray, np.ndarray]:
+        """(at, rows): the places in `tokens` of the tokens in the vocabulary,
+        and their rows of the matrix."""
+        at = [i for i, t in enumerate(tokens) if t in self.index]
+        return np.array(at, dtype=np.intp), self.row_indices([tokens[i] for i in at])
+
+    def vectors(self, tokens) -> np.ndarray:
+        """The values of rows(tokens), recorded on no tape."""
+        at, rows = self.link(tokens)
+        if len(at) == len(tokens):
+            return self.matrix.data.take(rows, axis=0)
+        out = np.empty((len(tokens), self.dim))
+        out[at] = self.matrix.data[rows]
+        unseen = np.setdiff1d(np.arange(len(tokens)), at)
+        out[unseen] = self.emb.rows([tokens[i] for i in unseen])
+        return out
+
     def rows(self, tokens) -> Tensor:
         """(len(tokens), dim) word vectors: trainable rows of the matrix, and
         frozen-table constants for tokens outside the vocabulary."""
-        known = [i for i, t in enumerate(tokens) if t in self.index]
-        if len(known) == len(tokens):
-            return take_rows(self.matrix, self.row_indices(tokens))
-        unseen = [i for i, t in enumerate(tokens) if t not in self.index]
-        trained = take_rows(self.matrix, self.row_indices([tokens[i] for i in known]))
+        at, rows = self.link(tokens)
+        trained = take_rows(self.matrix, rows)
+        if len(at) == len(tokens):
+            return trained
+        unseen = np.setdiff1d(np.arange(len(tokens)), at)
         frozen = Tensor(self.emb.rows([tokens[i] for i in unseen]))
-        # row r of the stack belongs to token (known + unseen)[r]
-        return take_rows(concat([trained, frozen], axis=0), np.argsort(known + unseen))
+        # row r of the stack belongs to token (at + unseen)[r]
+        order = np.argsort(np.concatenate([at, unseen]))
+        return take_rows(concat([trained, frozen], axis=0), order)
 
 
 def check_anchors(anchors, lengths):
@@ -195,21 +214,23 @@ def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Te
 
 def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
            words: WordTable | None = None):
-    """The input rows of sentences packed one after another, as the two
-    (table, index) lookups of `conv1d_tables`: row i is the position row of
-    token i beside its word vector. `tokens` holds every sentence's tokens in
-    order, `lengths` their counts and `anchors` one index into each sentence.
+    """The input rows of sentences packed one after another, as two (table,
+    index) lookups: row i is the position row of token i beside its word
+    vector. `tokens` holds every sentence's tokens in order, `lengths` their
+    counts and `anchors` one index into each sentence.
 
     The positions index the whole position table. The word table holds the
-    distinct tokens in first-occurrence order, so each is looked up once and
-    every row of it is read."""
+    distinct tokens' vectors in first-occurrence order, as constants, so each
+    is looked up once and every row of it is read: layer 1 takes its taps of
+    them (autodiff.Taps), and a WordTable gets its gradient through those."""
     lengths = np.asarray(lengths, dtype=np.intp)
     anchors = np.asarray(anchors, dtype=np.intp)
     check_anchors(anchors, lengths)
     offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths + anchors, lengths)
     first = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
     word_index = np.fromiter(map(first.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    return [(pos.table, pos.row_indices(offsets)), (word_rows(list(first), emb, words), word_index)]
+    vectors = emb.rows(list(first)) if words is None else words.vectors(list(first))
+    return [(pos.table, pos.row_indices(offsets)), (Tensor(vectors), word_index)]
 
 
 def keyword_repr(keyword_sets, emb: EmbeddingTable,

@@ -33,22 +33,31 @@ def predicted_labels(logits: np.ndarray) -> np.ndarray:
     return (logits[:, 1] > logits[:, 0]).astype(np.int64)
 
 
+def by_group(examples, predictions, key) -> dict:
+    """Counts (tp, fp, fn) of 0/1 predictions already made, one per example
+    in order, against the examples' labels, per group key(example); the
+    groups in sorted order."""
+    counts: dict = {}
+    for pred, ex in zip(predictions, examples, strict=True):
+        tp_fp_fn = counts.setdefault(key(ex), [0, 0, 0])
+        if pred == 1 and ex.label == 1:
+            tp_fp_fn[0] += 1
+        elif pred == 1:
+            tp_fp_fn[1] += 1
+        elif ex.label == 1:
+            tp_fp_fn[2] += 1
+    return {group: tuple(c) for group, c in sorted(counts.items())}
+
+
 def evaluate(model, examples, keep_predictions: bool = False) -> EvalReport:
     """Pooled counts of the dataset's labels against one call of
     model.predict_batch(examples), which returns a 0/1 prediction per example
     in order (eval mode, no dropout)."""
     if not examples:
         raise ValueError("evaluation dataset is empty")
-    tp = fp = fn = 0
     preds = np.asarray(model.predict_batch(examples)).tolist()
-    for pred, ex in zip(preds, examples, strict=True):
-        if pred == 1 and ex.label == 1:
-            tp += 1
-        elif pred == 1:
-            fp += 1
-        elif ex.label == 1:
-            fn += 1
-    return report_from_counts(tp, fp, fn, preds if keep_predictions else None)
+    (counts,) = by_group(examples, preds, lambda ex: None).values()
+    return report_from_counts(*counts, preds if keep_predictions else None)
 
 
 def report_json(report: EvalReport) -> str:

@@ -16,13 +16,16 @@ row after row into one matrix and passes their lengths to every layer, so a
 layer is a few matrix products per batch, and per-sentence vectors (V_K, the
 CFA scale and shift, the attention query) are (B, .) rows. A CNN layer is one
 convolution op for all its window sizes, with one product per window into
-its own column block of the layer's output. On a tape, the first layer
-reads the position and word lookups of `encode` through `conv1d_tables`.
-A scoring pass instead builds PositionTaps once: per window, the bias plus
-the position taps of every position signature a row can have. Each chunk's
-first layer then takes one row of that table per token and adds the word
-taps, which adds the terms of the per-tap sum in the same order. Layers 2
-and up read the rows of the layer below through `conv1d_same`. Nothing
+its own column block of the layer's output. The first layer runs one way
+everywhere: `conv1d_tables` over ad.Taps, built from the current parameters.
+Per window, the taps hold the bias plus the position taps of every position
+signature a row can have, and each word's product with every word tap, so a
+row is one row of the first table plus one word row per tap, the terms of
+the per-tap sum in the same order. A training step builds one set of taps
+for all its examples (step_taps); a scoring pass builds its position taps
+once and each chunk adds the word taps of its words; any other forward
+builds taps for its own examples. Layers 2 and up read the rows of the
+layer below through `conv1d_same`. Nothing
 before the first CFA step, the attention head or the
 concat with V_K reads the keywords, so a batch's distinct (tokens, anchor)
 contexts are encoded and convolved once each: at the first op that reads
@@ -40,9 +43,9 @@ backward sends a column's gradient to the first row of largest input rather
 than of largest output; these differ only where the activation maps two
 inputs to one value: saturated tanh or relu's zeros, whose gradient is zero,
 or inputs a few floats apart. On the tape the forward is
-what training runs, one example at a time through `Model.forward`; without
-a tape, `Model.logits_batch` runs it over chunks of up to SCORE_TOKENS rows
-in the widest layer (see _chunks), all from one PositionTaps.
+what training runs, one example at a time through `Model.loss`, all from the
+step's taps; without a tape, `Model.logits_batch` runs it over chunks of up
+to SCORE_TOKENS rows in the widest layer (see _chunks).
 
 Every parameter is initialized uniformly in [-0.1, 0.1] from a stream keyed
 by (seed, "init", parameter name), so two configs sharing a seed assign
@@ -214,93 +217,16 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
 # building blocks
 
 
-def cnn_layer(h_prev, lengths, window_params, act, taps=None, anchors=None) -> Tensor:
+def cnn_layer(h_prev, lengths, windows, act, anchors=None) -> Tensor:
     """Length-preserving conv block over packed sentences: one convolution
-    for all window sizes, their features side by side in the given window
-    order, then the nonlinearity. h_prev is the (n, d) input, or the list of
-    (table, index) lookups whose rows side by side make it (layer 1). With
-    `taps`, the PositionTaps of a scoring pass built from window_params,
-    layer 1 runs from them and the word lookup, untaped, and reads the
-    sentences' anchors."""
-    if isinstance(h_prev, Tensor):
-        return act(ad.conv1d_same(h_prev, window_params, lengths=lengths))
-    if taps is not None:
-        return act(Tensor(taps.conv(*h_prev[1], lengths, anchors)))
-    return act(ad.conv1d_tables(h_prev, window_params, lengths=lengths))
-
-
-class PositionTaps:
-    """Layer 1's bias and position taps per window, by position signature,
-    built once per scoring pass from the current parameters.
-
-    Layer 1 reads row i of an L-token sentence as the position row of its
-    offset from the anchor beside its word vector. A window of width w reads
-    lw = (w-1)//2 rows to the left and rw = w//2 to the right, so what its
-    position taps add to row i depends only on the row's signature: its
-    offset clamped to [-max_offset - rw, max_offset + lw] (past these, every
-    row the window reads clamps to the same position row), min(i, lw) and
-    min(L-1-i, rw) (its neighbours inside the sentence). Per window, the
-    table holds for each signature the bias plus the products of the
-    position rows read with their taps, added in tap order, over the offsets
-    lo..hi only. `conv` gives each row its table row and adds its word taps:
-    the terms and order of conv1d_same's sum of products, tap by tap. It
-    refuses sentences that reach offsets outside lo..hi.
-    """
-
-    def __init__(self, pos: PositionTable, pairs, lo: int, hi: int):
-        self.pairs, self.pos_dim, self.reach = pairs, pos.dim, (lo, hi)
-        self.tables = []
-        M = pos.max_offset
-        for filt, b in pairs:
-            w, _, f = filt.data.shape
-            lw, rw = (w - 1) // 2, w // 2
-            first, last = max(lo, -M - rw), min(hi, M + lw)
-            count = max(last - first + 1, 0)
-            # tap j of the row at offset o reads the position row of offset
-            # o + j - lw, which is rows[o - first + j]
-            rows = pos.row_indices(np.arange(first - lw, first + count + rw))
-            products = np.matmul(pos.table.data[rows], filt.data[:, :self.pos_dim])
-            table = np.empty((count, lw + 1, rw + 1, f))
-            table[:] = b.data
-            for j in range(w):
-                # tap j reads a row of the sentence when the row has at least
-                # lw - j neighbours on its left and j - lw on its right
-                table[:, max(lw - j, 0):, max(j - lw, 0):] += products[j, j:j + count, None, None]
-            self.tables.append((first, last, lw, rw, table.reshape(-1, f)))
-
-    def conv(self, words: Tensor, index, lengths, anchors) -> np.ndarray:
-        """Layer 1's (n, sum of f) rows, before the activation, of sentences
-        packed with these lengths and anchors, whose word vectors are the
-        rows of `words` that `index` reads."""
-        lengths = np.asarray(lengths, dtype=np.intp)
-        n, U = len(index), len(words.data)
-        place = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        rest = np.repeat(lengths - 1, lengths) - place
-        offset = place - np.repeat(np.asarray(anchors, dtype=np.intp), lengths)
-        if n and not (self.reach[0] <= offset.min() and offset.max() <= self.reach[1]):
-            raise ValueError(f"offsets {offset.min()}..{offset.max()} outside the "
-                             f"{self.reach[0]}..{self.reach[1]} these taps were built for")
-        W = max(filt.data.shape[0] for filt, _ in self.pairs)
-        # per distance d, the word row d rows on, or U (a zero products row)
-        # outside the sentence
-        reads = {d: np.where(place >= -d if d < 0 else rest >= d,
-                             index.take(np.arange(d, n + d), mode="clip"), U)
-                 for d in range(-((W - 1) // 2), W // 2 + 1)}
-        data = np.empty((n, sum(b.data.shape[0] for _, b in self.pairs)))
-        stop = 0
-        for (filt, _), (first, last, lw, rw, table) in zip(self.pairs, self.tables):
-            w, _, f = filt.data.shape
-            products = np.empty((w, U + 1, f))
-            np.matmul(words.data, filt.data[:, self.pos_dim:], out=products[:, :U])
-            products[:, U] = 0.0
-            signature = (((np.minimum(np.maximum(offset, first), last) - first) * (lw + 1)
-                          + np.minimum(place, lw)) * (rw + 1) + np.minimum(rest, rw))
-            acc = table.take(signature, axis=0)
-            for j in range(w):
-                acc += products[j].take(reads[j - lw], axis=0)
-            data[:, stop:stop + f] = acc
-            stop += f
-        return data
+    for all window sizes, their features side by side in window order, then
+    the nonlinearity. Layers 2 and up take the (n, d) rows of the layer below
+    and the list of (filters, bias) pairs; layer 1 takes each row's word
+    index and the ad.Taps built from its pairs, and reads the sentences'
+    anchors."""
+    if isinstance(windows, ad.Taps):
+        return act(ad.conv1d_tables(windows, h_prev, lengths, anchors))
+    return act(ad.conv1d_same(h_prev, windows, lengths=lengths))
 
 
 def cfa_condition(h: Tensor, lengths, v_k: Tensor, gamma_w, gamma_b, beta_w, beta_b,
@@ -374,16 +300,21 @@ class Model:
         """(len(examples), 2) logits. The sentences are packed row after row
         into one matrix; see the module docstring. Training mode applies
         inverted dropout to R and requires an rng; eval mode is deterministic.
-        `keys`, if given, holds each example's _context; `taps`, the
-        PositionTaps of an untaped pass that holds these examples, runs
-        layer 1. An anchor outside its sentence raises ValueError."""
+        `keys`, if given, holds each example's _context. `taps` runs layer 1:
+        a training step's (step_taps), whose words cover these examples, or a
+        scoring pass's position taps, which get these examples' word taps;
+        without them, layer 1 runs from taps built for these examples alone.
+        An anchor outside its sentence raises ValueError."""
         cfg, p = self.config, self.params
         conv_act = ACTIVATIONS[cfg.conv_act]
         contexts, ctx = _contexts(examples, keys)
-        lengths = np.array([len(ex.tokens) for ex in contexts], dtype=np.intp)
-        anchors = np.array([ex.anchor for ex in contexts], dtype=np.intp)
+        lengths, anchors = _lengths_anchors(contexts)
         tokens = [t for ex in contexts for t in ex.tokens]
-        h = encode(tokens, lengths, anchors, self.emb, self.pos, self.words)
+        # layer 1 reads each token's row among the taps' words
+        if taps is not None and taps.vocab is not None:
+            h = np.fromiter(map(taps.vocab.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        else:
+            taps, h = self._taps_for(tokens, lengths, anchors, taps)
         v_k = keyword_repr([ex.keywords for ex in examples], self.emb, self.words)
 
         cfa_at = set(cfg.cfa_layers())
@@ -392,8 +323,7 @@ class Model:
                       and cfg.conv_act in NONDECREASING)
         for i in range(1, cfg.layers + 1):
             act = ad.identity if pool_first and i == cfg.layers else conv_act
-            h = cnn_layer(h, lengths, self._layer_windows(i), act,
-                          taps if i == 1 else None, anchors)
+            h = cnn_layer(h, lengths, taps if i == 1 else self._layer_windows(i), act, anchors)
             if i in cfa_at:
                 h, lengths, anchors, ctx = _hand_out(h, lengths, anchors, ctx)
                 h = cfa_condition(
@@ -423,13 +353,43 @@ class Model:
         hidden = conv_act(ad.affine(p["ffn.hidden.w"], r, p["ffn.hidden.b"]))
         return ad.affine(p["ffn.out.w"], hidden, p["ffn.out.b"])
 
-    def forward(self, example, train: bool = False, rng=None,
-                aux: dict | None = None) -> Tensor:
-        """Two logits for one example: row 0 of forward_batch([example])."""
-        return ad.take_rows(self.forward_batch([example], train=train, rng=rng, aux=aux), 0)
+    def _position_taps(self, lengths, anchors) -> ad.Taps:
+        """Layer 1's position taps over the offsets these sentences reach."""
+        return ad.Taps(self._layer_windows(1), self.pos, -int(np.max(anchors)),
+                       int(np.max(np.subtract(lengths, anchors))) - 1)
 
-    def loss(self, example, train: bool = False, rng=None) -> Tensor:
-        return ad.cross_entropy(self.forward(example, train=train, rng=rng),
+    def _taps_for(self, tokens, lengths, anchors, taps=None):
+        """Layer 1's taps for packed sentences and each token's word row in
+        them: `taps` (position taps over their offsets if None) plus the word
+        taps of their distinct tokens, which `encode` looks up."""
+        (_, _), (words, index) = encode(tokens, lengths, anchors, self.emb, self.pos, self.words)
+        trained = None
+        if self.words is not None:
+            trained = (self.words.matrix, *self.words.link(list(dict.fromkeys(tokens))))
+        taps = taps or self._position_taps(lengths, anchors)
+        return taps.with_words(words.data, trained), index
+
+    def step_taps(self, examples) -> ad.Taps:
+        """Layer 1's taps for one training step over `examples`, from the
+        current parameters: position taps over their offsets and the word
+        taps of their distinct tokens, 11 KB per word at the default windows
+        and filters. Every example's forward_batch(taps=...) then reads
+        them, and a first `.grad` read sums the layer-1 gradient of all."""
+        contexts, _ = _contexts(examples)
+        lengths, anchors = _lengths_anchors(contexts)
+        tokens = [t for ex in contexts for t in ex.tokens]
+        taps, index = self._taps_for(tokens, lengths, anchors)
+        taps.vocab = dict(zip(tokens, index.tolist()))
+        return taps
+
+    def forward(self, example, train: bool = False, rng=None,
+                aux: dict | None = None, taps=None) -> Tensor:
+        """Two logits for one example: row 0 of forward_batch([example])."""
+        return ad.take_rows(self.forward_batch([example], train=train, rng=rng, aux=aux,
+                                               taps=taps), 0)
+
+    def loss(self, example, train: bool = False, rng=None, taps=None) -> Tensor:
+        return ad.cross_entropy(self.forward(example, train=train, rng=rng, taps=taps),
                                 example.label)
 
     def predict(self, example) -> int:
@@ -444,17 +404,21 @@ class Model:
 
     def logits_batch(self, examples) -> np.ndarray:
         """(len(examples), 2) eval-mode logits: forward_batch without a tape,
-        chunk by chunk (see _chunks), layer 1 from the PositionTaps of the
-        offsets the examples reach."""
+        chunk by chunk (see _chunks), layer 1 from position taps over the
+        offsets the examples reach, built once, and each chunk's word taps."""
         if not examples:
             return np.zeros((0, 2))
-        taps = PositionTaps(self.pos, self._layer_windows(1),
-                            -max(ex.anchor for ex in examples),
-                            max(len(ex.tokens) - ex.anchor for ex in examples) - 1)
+        taps = self._position_taps(*_lengths_anchors(examples))
         # only plain concat keeps one row per context in every layer
         by_context = self.config.head == "concat" and not self.config.cfa
         return np.concatenate([self.forward_batch(chunk, keys=keys, taps=taps).data
                                for chunk, keys in _chunks(examples, by_context=by_context)])
+
+
+def _lengths_anchors(examples) -> tuple[np.ndarray, np.ndarray]:
+    """The examples' sentence lengths and anchors, as int arrays."""
+    return (np.array([len(ex.tokens) for ex in examples], dtype=np.intp),
+            np.array([ex.anchor for ex in examples], dtype=np.intp))
 
 
 def _context(ex):

@@ -2,16 +2,19 @@
 
 The loop is deterministic given the seed: per-epoch shuffling, negative
 subsampling, and dropout masks each draw from their own named substream. The
-trained object only needs named_params(), loss(example, train, rng), and
+trained object only needs named_params(), step_taps(examples) (what the
+examples of one step share, built from the current parameters: a model's
+layer-1 taps, None for the baseline), loss(example, train, rng, taps), and
 predict_batch(examples) (one 0/1 label per example, in order, used by the
 dev-set evaluation), so the CNN models and the linear baseline share the loop.
 
-A step over a mini-batch of B examples zeroes the gradients, then records
-each example's loss scaled by 1/B on a tape of its own and runs that tape's
-backward at once, so only one example's activations are alive at a time.
-The step then checks the summed loss and applies Adadelta, which evaluates its
-update formula as written; its read of each weight's `.grad` sums the
-gradient factors the backwards queued on it.
+A step over a mini-batch of B examples zeroes the gradients and builds the
+step's taps, then records each example's loss scaled by 1/B on a tape of its
+own and runs that tape's backward at once, so only one example's activations
+are alive at a time. The step then checks the summed loss and applies
+Adadelta, which evaluates its update formula as written; its read of each
+weight's `.grad` sums the gradient the backwards queued on it: matrix
+factors, and for layer 1 every example's output gradient, summed at once.
 Every step is timed into a StepInfo, which an optional `on_step` callback
 receives. The loop writes no file: each epoch's EpochLog, which carries the
 process's peak resident memory so far, goes to the `progress` callback and
@@ -175,16 +178,20 @@ def _epoch_examples(examples, config: TrainConfig, epoch: int):
 
 def batch_gradients(model, params, batch, rng) -> tuple[float, float, float]:
     """Set each parameter's `.grad` to the gradient of the batch's mean
-    training loss, one example per tape (see the module docstring). Return
-    the sum of the examples' losses, added in batch order, and the seconds
-    spent in their forwards and in their backwards."""
+    training loss, one example per tape, all from one set of step taps (see
+    the module docstring). Return the sum of the examples' losses, added in
+    batch order, and the seconds spent building the taps and in the
+    examples' forwards, and in their backwards."""
     scale = Tensor(1.0 / len(batch))
-    total = forward_s = backward_s = 0.0
+    total = backward_s = 0.0
     zero_grads(params)
+    t0 = time.perf_counter()
+    taps = model.step_taps(batch)
+    forward_s = time.perf_counter() - t0
     for ex in batch:
         t0 = time.perf_counter()
         with Tape() as tape:
-            loss = model.loss(ex, train=True, rng=rng)
+            loss = model.loss(ex, train=True, rng=rng, taps=taps)
             t1 = time.perf_counter()
             tape.backward(mul(loss, scale))
         forward_s += t1 - t0

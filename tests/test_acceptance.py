@@ -30,7 +30,7 @@ from lfked.corpus import (
 from lfked.datagen import generate_lfk
 from lfked.encoding import EmbeddingTable, load_embeddings
 from lfked.gradcheck import check_all
-from lfked.metrics import evaluate, report_from_counts
+from lfked.metrics import by_group, evaluate, report_from_counts
 from lfked.models import Model, ModelConfig, identity_cfa_surgery
 from lfked.baseline import LinearBaseline
 from lfked.training import Adadelta, TrainConfig, train
@@ -95,16 +95,8 @@ def random_examples(count, emb, rng):
 
 def subtype_f1(examples, report) -> dict[str, float]:
     """F1 per source_subtype, counted from the report's kept predictions."""
-    counts = {}
-    for ex, pred in zip(examples, report.predictions, strict=True):
-        tp_fp_fn = counts.setdefault(ex.source_subtype, [0, 0, 0])
-        if pred == 1 and ex.label == 1:
-            tp_fp_fn[0] += 1
-        elif pred == 1:
-            tp_fp_fn[1] += 1
-        elif ex.label == 1:
-            tp_fp_fn[2] += 1
-    return {sub: report_from_counts(*c).f1 for sub, c in sorted(counts.items())}
+    counts = by_group(examples, report.predictions, lambda ex: ex.source_subtype)
+    return {sub: report_from_counts(*c).f1 for sub, c in counts.items()}
 
 
 def fmt_subtypes(f1s: dict[str, float]) -> str:

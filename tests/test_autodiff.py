@@ -10,7 +10,7 @@ from lfked.autodiff import Tape, Tensor
 from lfked.encoding import EmbeddingTable, PositionTable, WordTable, encode
 
 from fd import central_diff, max_rel_error
-from lookups import gathered
+from lookups import gathered, input_rows, taps_for
 
 
 def scalar_loss(op, *tensors):
@@ -336,106 +336,115 @@ def test_assigning_grad_discards_queued_factors():
 
 
 def _table_inputs(seed):
-    """Sentences of 1, 2, 9, 30 and 60 tokens, anchored at their first token
-    and at min(n - 1, 2). Offsets pass max_offset 4 on the right only, so
-    position rows 0 and 1 (offsets -4 and -3) are never read. Words repeat,
-    and some are outside the word table (w7, which the embeddings hold) or
-    outside both (w8, w9)."""
+    """Sentences of 1, 2, 9, 30, 60 and 600 tokens, anchored at their first
+    token, at min(n - 1, 2) and at their last. Offsets pass max_offset 4 on
+    both sides. Words repeat, and some are outside the word table (w7, which
+    the embeddings hold) or outside both (w8, w9)."""
     rng = np.random.default_rng(seed)
     emb = EmbeddingTable({f"w{i}": rng.normal(size=3) for i in range(8)}, 3)
     words = WordTable(emb, [f"w{i}" for i in range(7)])
     words.matrix.data += rng.normal(scale=0.1, size=words.matrix.shape)
     pos = PositionTable(2, 4, rng)
-    lengths = [n for n in (1, 2, 9, 30, 60) for _ in range(2)]
-    anchors = [a for n in (1, 2, 9, 30, 60) for a in (0, min(n - 1, 2))]
+    sizes = (1, 2, 9, 30, 60, 600)
+    lengths = [n for n in sizes for _ in range(3)]
+    anchors = [a for n in sizes for a in (0, min(n - 1, 2), n - 1)]
     tokens = [f"w{(i * 3 + n) % 10}" for n in lengths for i in range(n)]
     return rng, emb, words, pos, tokens, lengths, anchors
 
 
 @pytest.mark.parametrize("windows", [(1, 2, 3, 4, 5), (5, 2, 4)])
-def test_conv_tables_equal_conv_of_the_looked_up_rows(windows):
-    # Over all ten sentences and over the first five: the same output and
-    # filter gradients as conv1d_same of the gathered rows, bit for bit.
+@pytest.mark.parametrize("trained", [True, False])
+def test_conv_tables_equal_conv_of_the_looked_up_rows(windows, trained):
+    # Over every sentence and over the first six: the output and every
+    # gradient of conv1d_same over the gathered rows. The taps add the same
+    # terms in the same order, but BLAS may round their products apart.
     rng, emb, words, pos, tokens, lengths, anchors = _table_inputs(sum(windows))
+    words = words if trained else None
     f = 2
     params = [(rng.uniform(-2, 2, (w, 5, f)), rng.uniform(-2, 2, f)) for w in windows]
     probe = rng.uniform(-2, 2, (len(tokens), f * len(windows)))
 
     def run(k, tables):
-        """The layer over the first k sentences, from the lookups or from their
-        gathered rows: the lookups, the output and the gradients."""
+        """The layer over the first k sentences, from taps or from their
+        gathered rows: the output and the gradients."""
         n = sum(lengths[:k])
-        for t in (pos.table, words.matrix):
-            t.zero_grad()
+        trainable = [pos.table] + ([words.matrix] if trained else [])
+        ad.zero_grads(trainable)
         pairs = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
                  for w, b in params]
         with Tape() as tape:
-            lookups = encode(tokens[:n], lengths[:k], anchors[:k], emb, pos, words)
+            args = (tokens[:n], lengths[:k], anchors[:k], emb, pos, words)
             if tables:
-                out = ad.conv1d_tables(lookups, pairs, lengths=lengths[:k])
+                taps, index = taps_for(pairs, *args)
+                out = ad.conv1d_tables(taps, index, lengths[:k], anchors[:k])
             else:
-                out = ad.conv1d_same(gathered(lookups), pairs, lengths=lengths[:k])
+                out = ad.conv1d_same(input_rows(*args), pairs, lengths=lengths[:k])
             loss = ad.mean(ad.mul(ad.tanh(out), Tensor(probe[:n])))
         tape.backward(loss)
-        grads = [pos.table.grad.copy(), words.matrix.grad.copy()]
-        return lookups, out.data, grads + [t.grad for pair in pairs for t in pair]
+        return out.data, [t.grad.copy() for t in trainable + [t for p in pairs for t in p]]
 
-    for k in (len(lengths), 5):
-        lookups, got, got_grads = run(k, tables=True)
-        assert lookups[0][0] is pos.table
-        _, want, want_grads = run(k, tables=False)
-        np.testing.assert_array_equal(got, want)
-        # conv1d_tables multiplies the output gradient by each table's columns
-        # of the filters on their own, so BLAS may round the tables' sums apart
+    for k in (len(lengths), 6):
+        got, got_grads = run(k, tables=True)
+        want, want_grads = run(k, tables=False)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         largest = max(np.abs(g).max() for g in want_grads)
-        for g, w in zip(got_grads[:2], want_grads[:2]):
+        for g, w in zip(got_grads, want_grads):
             assert np.abs(w).max() > 0
             assert np.abs(g - w).max() <= 1e-12 * largest
-        for g, w in zip(got_grads[2:], want_grads[2:]):
-            np.testing.assert_array_equal(g, w)
-        unread = np.setdiff1d(np.arange(len(pos.table.data)), lookups[0][1])
-        assert unread.tolist() == ([0, 1] if k == len(lengths) else [0, 1, 2])
+        positions = encode(tokens[:sum(lengths[:k])], lengths[:k], anchors[:k], emb, pos)[0][1]
+        unread = np.setdiff1d(np.arange(len(pos.table.data)), positions)
+        assert unread.tolist() == ([] if k == len(lengths) else [0, 1, 2, 6, 7, 8])
         assert not got_grads[0][unread].any()
 
 
 def test_conv_tables_gradient_matches_finite_differences():
-    # Two tables of 3 and 4 rows under 12 and 6 lookups, the second case with
-    # one table frozen. There, values in [-2, 2] saturate tanh and leave
-    # filter gradients near 1e-7, which central differences resolve to only
-    # 1e-5 of themselves.
-    for lengths, frozen, spread in [([1, 4, 2, 5], None, 2), ([1, 3, 2], 1, 1)]:
+    # Filters, biases, the position table and a trainable word table; w7 is
+    # outside the word table, so its frozen vector gets no gradient. In the
+    # second case the word table is frozen: the taps then hold no trainable
+    # word rows and their sum computes no word-table gradient.
+    for lengths, anchors, finetune in [([1, 4, 2, 7], [0, 3, 0, 6], True),
+                                       ([1, 3, 2], [0, 1, 1], False)]:
         rng = np.random.default_rng(5)
-        index_p = rng.integers(0, 3, sum(lengths))
-        index_e = rng.integers(0, 4, sum(lengths))
-        arrays = [rng.uniform(-spread, spread, shape)
-                  for shape in [(3, 2), (4, 3), (4, 5, 2), (2,), (3, 5, 3), (3,)]]
+        emb = EmbeddingTable({f"w{i}": rng.uniform(-1, 1, 3) for i in range(8)}, 3)
+        words = WordTable(emb, [f"w{i}" for i in range(7)]) if finetune else None
+        pos = PositionTable(2, 2, rng)
+        tokens = [f"w{i}" for i in rng.integers(0, 8, sum(lengths))]
+        arrays = [rng.uniform(-1, 1, shape) for shape in [(4, 5, 2), (2,), (3, 5, 3), (3,)]]
         probe = Tensor(rng.uniform(-2, 2, (sum(lengths), 5)))
 
-        def loss_of(p, e, f4, b4, f3, b3):
-            out = ad.conv1d_tables([(p, index_p), (e, index_e)], [(f4, b4), (f3, b3)],
-                                   lengths=lengths)
-            return ad.mean(ad.mul(ad.tanh(out), probe))
+        def loss_of(f4, b4, f3, b3):
+            taps, index = taps_for([(f4, b4), (f3, b3)], tokens, lengths, anchors, emb, pos,
+                                   words)
+            return ad.mean(ad.mul(ad.tanh(ad.conv1d_tables(taps, index, lengths, anchors)),
+                                  probe)), taps
 
-        tensors = [Tensor(a, requires_grad=k != frozen) for k, a in enumerate(arrays)]
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        trainable = [pos.table] + ([words.matrix] if finetune else [])
+        ad.zero_grads(trainable)
         with Tape() as tape:
-            loss = loss_of(*tensors)
+            loss, taps = loss_of(*tensors)
         tape.backward(loss)
         assert len(tape) == 4
-        for k, (t, a) in enumerate(zip(tensors, arrays)):
-            if k == frozen:
-                assert t.grad is None
-                continue
-            numeric = central_diff(lambda: loss_of(*map(Tensor, arrays)).item(), a)
+        assert (taps.trained is None) != finetune
+        assert len(taps.tensors) == len(tensors) + len(trainable)
+        for t, a in zip(tensors + trainable, arrays + [t.data for t in trainable]):
+            numeric = central_diff(lambda: loss_of(*map(Tensor, arrays))[0].item(), a)
+            assert np.abs(numeric).max() > 0
             assert max_rel_error(t.grad, numeric) < 1e-6
 
 
 def test_conv_tables_rejects_indices_outside_a_table():
-    pair = (Tensor(np.ones((2, 3, 1))), Tensor(np.zeros(1)))
-    table = Tensor(np.ones((2, 3)))
-    with pytest.raises(ad.ShapeError, match="outside the 2 table rows"):
-        ad.conv1d_tables([(table, [0, 2])], [pair])
+    pos = PositionTable(2, 3, np.random.default_rng(0))
+    pair = (Tensor(np.ones((2, 5, 1))), Tensor(np.zeros(1)))
+    taps = ad.Taps([pair], pos, -1, 1).with_words(np.ones((2, 3)))
+    with pytest.raises(ad.ShapeError, match="outside the 2 word rows"):
+        ad.conv1d_tables(taps, [0, 2], [2], [1])
+    with pytest.raises(ad.ShapeError, match=r"lengths \[3\] do not split 2 rows"):
+        ad.conv1d_tables(taps, [0, 1], [3], [1])
+    with pytest.raises(ValueError, match="offsets -2..-1 outside the -1..1"):
+        ad.conv1d_tables(taps, [0, 1], [2], [2])
     with pytest.raises(ad.ShapeError, match="input width 6"):
-        ad.conv1d_tables([(table, [0, 1]), (table, [1, 1])], [pair])
+        ad.Taps([pair], pos, -1, 1).with_words(np.ones((2, 4)))
 
 
 # ---------------------------------------------------------------------------

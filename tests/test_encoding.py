@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfked.autodiff import Tape
+from lfked.autodiff import Tape, Tensor, conv1d_tables, mean
 from lfked.encoding import (
     EmbeddingTable,
     PositionTable,
@@ -18,7 +18,7 @@ from lfked.encoding import (
 )
 from lfked.seeding import rng_for
 
-from lookups import gathered
+from lookups import gathered, taps_for
 
 
 def table(dim=3, policy="zero", seed=0):
@@ -167,13 +167,20 @@ def test_encode_shape_property():
         assert enc.shape == (n, pos.dim + emb.dim)
 
 
+def layer_one(tokens, lengths, anchors, emb, pos, words=None):
+    """A small layer 1 over the sentences, from their taps."""
+    rng = rng_for(1, "filters")
+    pairs = [(Tensor(rng.normal(size=(w, pos.dim + emb.dim, 2)), requires_grad=True),
+              Tensor(rng.normal(size=2), requires_grad=True)) for w in (2, 3)]
+    taps, index = taps_for(pairs, tokens, lengths, anchors, emb, pos, words)
+    return conv1d_tables(taps, index, lengths, anchors)
+
+
 def test_position_grads_flow_words_stay_frozen():
     emb, pos = table(), ptable()
     before = emb.vectors["cat"].copy()
     with Tape() as tape:
         enc = gathered(encode(["cat", "dog"], [2], [1], emb, pos))
-        from lfked.autodiff import mean
-
         tape.backward(mean(enc))
     assert pos.table.grad is not None and np.abs(pos.table.grad).sum() > 0
     assert (emb.vectors["cat"] == before).all()
@@ -270,12 +277,13 @@ def test_word_table_lookup_and_grads():
     assert words.matrix.shape == (3, 3)
     assert (words.matrix.data[words.index["cat"]] == emb.lookup("cat")).all()
 
+    # encode's word rows are constants; the table's gradient comes through
+    # layer 1's taps of them
     pos = ptable()
+    lookups = encode(["cat", "dog"], [2], [0], emb, pos, words=words)
+    assert not lookups[1][0].requires_grad
     with Tape() as tape:
-        enc = gathered(encode(["cat", "dog"], [2], [0], emb, pos, words=words))
-        from lfked.autodiff import mean
-
-        tape.backward(mean(enc))
+        tape.backward(mean(layer_one(["cat", "dog"], [2], [0], emb, pos, words)))
     assert np.abs(words.matrix.grad).sum() > 0
 
 
@@ -299,15 +307,12 @@ def test_word_table_unseen_tokens_keep_frozen_vectors():
     words.matrix.data += 1.0                      # trained away from emb
     tokens = ["zzunseen", "cat", "bird", "dog", "zzunseen"]
     pos = ptable()
-    with Tape() as tape:
-        enc = gathered(encode(tokens, [len(tokens)], [1], emb, pos, words=words))
-        from lfked.autodiff import mean
-
-        tape.backward(mean(enc))
-    rows = enc.data[:, pos.dim:]
+    rows = gathered(encode(tokens, [len(tokens)], [1], emb, pos, words=words)).data[:, pos.dim:]
     for i, t in enumerate(tokens):
         want = words.matrix.data[words.index[t]] if t in words.index else emb.lookup(t)
         assert (rows[i] == want).all(), t
+    with Tape() as tape:
+        tape.backward(mean(layer_one(tokens, [len(tokens)], [1], emb, pos, words)))
     assert (words.matrix.grad != 0).all()          # only cat and dog rows exist
     kw = keyword_repr([["zzunseen", "cat"]], emb, words=words).data[0]
     want = (emb.lookup("zzunseen") + words.matrix.data[words.index["cat"]]) / 2

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from lfked.corpus import LFKExample
-from lfked.metrics import evaluate, report_from_counts, report_json, report_text
+from lfked.metrics import by_group, evaluate, report_from_counts, report_json, report_text
 
 
 class FixedPredictor:
@@ -100,3 +100,19 @@ def test_report_json_and_text():
     assert "P    22.5" in text
     assert "R    75.0" in text
     assert "tp=9 fp=31 fn=3" in text
+
+
+def test_by_group_counts_each_group_on_a_hand_built_set():
+    # (label, prediction, group): b has one of each outcome plus a true
+    # negative, a only hits, c only a false negative
+    rows = [(1, 1, "b"), (0, 1, "b"), (1, 0, "b"), (0, 0, "b"), (1, 1, "a"), (1, 1, "a"),
+            (1, 0, "c"), (0, 0, "c")]
+    exs = [LFKExample(["w"], 0, ("k",), y, source_subtype=g) for y, _, g in rows]
+    preds = [p for _, p, _ in rows]
+    counts = by_group(exs, preds, lambda ex: ex.source_subtype)
+    assert counts == {"a": (2, 0, 0), "b": (1, 1, 1), "c": (0, 0, 1)}
+    assert list(counts) == ["a", "b", "c"]
+    pooled = evaluate(FixedPredictor(preds), exs)
+    assert (pooled.tp, pooled.fp, pooled.fn) == tuple(map(sum, zip(*counts.values())))
+    with pytest.raises(ValueError):
+        by_group(exs, preds[:-1], lambda ex: ex.source_subtype)

@@ -18,7 +18,6 @@ from lfked.models import (
     SCORE_TOKENS,
     Model,
     ModelConfig,
-    PositionTaps,
     _chunks,
     cfa_condition,
     cnn_layer,
@@ -29,7 +28,7 @@ from lfked.models import (
     param_shapes,
 )
 from lfked.seeding import rng_for
-from lfked.training import batch_gradients
+from lfked.training import Adadelta, batch_gradients
 
 from fd import central_diff, max_rel_error
 from lookups import gathered
@@ -556,25 +555,25 @@ def test_concat_chunks_count_each_context_once():
     assert_packed_matches_forward(case_model("concat"), batch)
 
 
-def _spy_position_taps(monkeypatch, calls):
-    """Log each PositionTaps built and each chunk it runs to `calls`."""
-    class Spied(PositionTaps):
+def _spy_taps(monkeypatch, calls):
+    """Log each Taps built and each layer-1 run from taps to `calls`."""
+    class Spied(ad.Taps):
         def __init__(self, *args):
-            calls.append("PositionTaps")
+            calls.append("Taps")
             super().__init__(*args)
 
         def conv(self, *args):
-            calls.append("PositionTaps.conv")
+            calls.append("Taps.conv")
             return super().conv(*args)
 
-    monkeypatch.setattr(models, "PositionTaps", Spied)
+    monkeypatch.setattr(ad, "Taps", Spied)
 
 
-def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
-    # A forward and a training step take one example at a time, and layer 1
-    # gathers its rows inside conv1d_tables. A scoring pass repeats the
-    # position rows across its sentences: it builds its PositionTaps once
-    # and runs every chunk's layer 1 from them, with no conv1d_tables call.
+def test_layer_one_runs_from_taps_on_every_route(monkeypatch):
+    # A forward builds taps for its own examples, a training step builds one
+    # set for all its examples, and a scoring pass builds its position taps
+    # once and adds each chunk's word taps: every route runs layer 1 through
+    # conv1d_tables, which calls no other conv op.
     calls, active = [], []
     for name in ("conv1d_same", "conv1d_tables"):
         def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
@@ -585,18 +584,18 @@ def test_layer_one_runs_from_tables_only_when_rows_repeat(monkeypatch):
             finally:
                 active.pop()
         monkeypatch.setattr(ad, name, spy)
-    _spy_position_taps(monkeypatch, calls)
+    _spy_taps(monkeypatch, calls)
     model = case_model("finetune-words")
     nine = [LFKExample([f"w{i}" for i in range(9)], a, ("k0", "k1"), a % 2) for a in (0, 4, 8)]
-    gathered_layer = ["conv1d_tables", "conv1d_same"]
+    layers = ["conv1d_tables", "Taps.conv", "conv1d_same"]
     model.forward(nine[0])
-    assert calls == gathered_layer
+    assert calls == ["Taps"] + layers
     calls.clear()
     batch_gradients(model, model.named_params().values(), nine, rng_for(0, "dropout", 1))
-    assert calls == gathered_layer * len(nine)
+    assert calls == ["Taps"] + layers * len(nine)
     calls.clear()
     model.logits_batch(mixed_batch())
-    assert calls == ["PositionTaps", "PositionTaps.conv", "conv1d_same"]
+    assert calls == ["Taps"] + layers
 
 
 @pytest.mark.parametrize("case", ["attention-cfa", "concat"])
@@ -604,12 +603,12 @@ def test_position_taps_are_built_once_per_pass_and_never_stale(monkeypatch, case
     # Every dev evaluation follows an optimizer step, which changes the
     # position table and the layer-1 filters in place.
     calls = []
-    _spy_position_taps(monkeypatch, calls)
+    _spy_taps(monkeypatch, calls)
     model, batch = case_model(case), mixed_batch() * 6
     assert len(list(_chunks(batch))) > 2
     model.logits_batch(batch)
-    assert calls.count("PositionTaps") == 1
-    assert calls.count("PositionTaps.conv") == len(list(_chunks(
+    assert calls.count("Taps") == 1
+    assert calls.count("Taps.conv") == len(list(_chunks(
         batch, by_context=model.config.head == "concat" and not model.config.cfa)))
     rng = rng_for(2, "nudge")
     nudges = [(name, rng.normal(scale=0.05, size=model.named_params()[name].shape))
@@ -625,13 +624,60 @@ def test_position_taps_are_built_once_per_pass_and_never_stale(monkeypatch, case
         np.testing.assert_array_equal(got, fresh.logits_batch(batch))
 
 
+@pytest.mark.parametrize("case", ["attention-cfa", "concat", "finetune-words"])
+def test_step_taps_are_built_once_per_step_and_never_stale(monkeypatch, case):
+    # Each Adadelta step changes the layer-1 weights in place; the next
+    # step's taps are built from them, so its gradients are bitwise those of
+    # a fresh model that holds the same parameters.
+    calls = []
+    _spy_taps(monkeypatch, calls)
+    model, batch = case_model(case), shared_batch()
+    named = model.named_params()
+    opt = Adadelta(named)
+    for _ in range(3):
+        calls.clear()
+        batch_gradients(model, named.values(), batch, rng_for(0, "dropout", 1))
+        assert calls == ["Taps"] + ["Taps.conv"] * len(batch)
+        got = {name: t.grad.copy() for name, t in named.items()}
+        fresh = case_model(case)
+        for name, t in fresh.named_params().items():
+            t.data[:] = named[name].data
+        batch_gradients(fresh, fresh.named_params().values(), batch, rng_for(0, "dropout", 1))
+        for name, t in fresh.named_params().items():
+            np.testing.assert_array_equal(t.grad, got[name], err_msg=name)
+        opt.step()
+
+
+@pytest.mark.parametrize("case", ["attention-cfa", "finetune-words"])
+def test_taped_forward_with_position_taps_keeps_layer_one_gradients(case):
+    # A scoring pass's position taps passed to a taped forward_batch give
+    # every parameter the gradient that taps built for the batch alone give.
+    model, batch = case_model(case), shared_batch()
+    named = model.named_params()
+    probe = Tensor(rng_for(3, "probe").normal(size=(len(batch), 2)))
+
+    def grads(taps):
+        ad.zero_grads(named.values())
+        with Tape() as tape:
+            logits = model.forward_batch(batch, taps=taps)
+            tape.backward(ad.mean(ad.mul(logits, probe)))
+        return {name: t.grad.copy() for name, t in named.items()}
+
+    lengths = [len(ex.tokens) for ex in batch]
+    anchors = [ex.anchor for ex in batch]
+    got, want = grads(model._position_taps(lengths, anchors)), grads(None)
+    largest = max(np.abs(g).max() for g in want.values())
+    for name, g in want.items():
+        assert np.abs(g).max() > 0, name
+        assert np.abs(got[name] - g).max() <= 1e-12 * largest, name
+
+
 def test_position_taps_refuse_offsets_outside_their_reach():
     model = case_model("concat")
-    taps = PositionTaps(model.pos, model._layer_windows(1), -2, 2)
-    words = Tensor(np.ones((3, 8)))
+    taps = ad.Taps(model._layer_windows(1), model.pos, -2, 2).with_words(np.ones((3, 8)))
     with pytest.raises(ValueError, match="offsets -1..3 outside the -2..2"):
-        taps.conv(words, np.array([0, 1, 2, 0, 1]), [5], [1])
-    assert taps.conv(words, np.array([0, 1, 2, 0, 1]), [5], [2]).shape == (5, 6)
+        ad.conv1d_tables(taps, [0, 1, 2, 0, 1], [5], [1])
+    assert ad.conv1d_tables(taps, [0, 1, 2, 0, 1], [5], [2]).shape == (5, 6)
 
 
 # The ops one training example records, in order, before contexts were

@@ -41,10 +41,10 @@ from lfked.encoding import (
     load_embeddings,
     write_embeddings,
 )
-from lfked.models import Model, ModelConfig, PositionTaps
+from lfked.models import Model, ModelConfig
 from lfked.seeding import rng_for
 
-from lookups import gathered
+from lookups import gathered, taps_for
 from test_models import tiny_config, tiny_emb
 
 VOCAB = [f"w{i}" for i in range(12)]
@@ -82,8 +82,8 @@ def test_forward_batch_rows_equal_the_per_example_forward(batch, windows, varian
     model = Model(tiny_config(windows=tuple(windows), layers=layers).with_variant(variant),
                   tiny_emb())
     alone = np.stack([model.forward(ex).data for ex in batch])
-    # logits_batch runs layer 1 from PositionTaps, the other two through
-    # conv1d_tables
+    # the forwards build their layer-1 taps for the batch, for each example
+    # and once per scoring pass
     for packed in (model.forward_batch(batch).data, model.logits_batch(batch)):
         err = np.abs(packed - alone).max() / np.abs(alone).max()
         assert err <= 1e-12, f"relative error {err:.3e}"
@@ -123,11 +123,10 @@ def test_position_taps_equal_conv_of_the_gathered_rows(packed, windows, max_offs
     pos = PositionTable(2, max_offset, rng)
     pairs = [(Tensor(rng.uniform(-1, 1, (w, 5, 2))), Tensor(rng.uniform(-1, 1, 2)))
              for w in windows]
-    lookups = encode(tokens, lengths, anchors, emb, pos, words)
-    want = ad.conv1d_same(gathered(lookups), pairs, lengths=lengths).data
-    lo = -max(anchors) - wider[0]
-    hi = max(n - 1 - a for n, a in zip(lengths, anchors)) + wider[1]
-    got = PositionTaps(pos, pairs, lo, hi).conv(*lookups[1], lengths, anchors)
+    want = ad.conv1d_same(gathered(encode(tokens, lengths, anchors, emb, pos, words)), pairs,
+                          lengths=lengths).data
+    taps, index = taps_for(pairs, tokens, lengths, anchors, emb, pos, words, wider)
+    got = ad.conv1d_tables(taps, index, lengths, anchors).data
     err = np.abs(got - want).max() / np.abs(want).max()
     assert err <= 1e-12, f"relative error {err:.3e}"
 

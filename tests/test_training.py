@@ -148,7 +148,10 @@ class BiasOnlyModel:
     def named_params(self):
         return {"logits": self.logits}
 
-    def loss(self, example, train=False, rng=None):
+    def step_taps(self, examples):
+        return None
+
+    def loss(self, example, train=False, rng=None, taps=None):
         from lfked.autodiff import cross_entropy
 
         return cross_entropy(self.logits, example.label)
@@ -275,7 +278,7 @@ def test_negative_subsampling_reduces_epoch_size():
 
 def test_numeric_error_on_divergence():
     class ExplodingModel(BiasOnlyModel):
-        def loss(self, example, train=False, rng=None):
+        def loss(self, example, train=False, rng=None, taps=None):
             self.logits.data[:] = np.inf
             from lfked.autodiff import cross_entropy
 
@@ -410,6 +413,26 @@ def test_step_tape_is_freed_by_reference_counting(monkeypatch):
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def test_step_makes_the_calls_the_benchmark_counts(monkeypatch):
+    # benchmark/hooks.py times a step from zero_grads to Adadelta.step and
+    # counts its examples by Model.loss calls. A step that records several
+    # examples per tape must land a benchmark that reads on_step first.
+    calls = []
+
+    def spy(name, orig):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "zero_grads", spy("zero_grads", training.zero_grads))
+    for cls, name in ((Tape, "backward"), (Model, "loss"), (Adadelta, "step")):
+        monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+    model, batch = step_case("attention-cfa", n=5)
+    train(model, batch, batch, TrainConfig(batch_size=5, epochs=1))
+    assert calls == ["zero_grads"] + ["loss", "backward"] * len(batch) + ["step"]
 
 
 # --- the streamed step --------------------------------------------------------
