@@ -448,8 +448,8 @@ class Taps:
     def __init__(self, pairs, pos, lo: int, hi: int):
         self.pairs, self.pos, self.reach = list(pairs), pos, (lo, hi)
         self.tensors = [t for pair in self.pairs for t in pair] + [pos.table]
-        self.vectors = self.products = self.trained = None
-        self.vocab = None          # word -> row of vectors, for a step's lookups
+        # set by with_words; vocab maps each word to its row of vectors
+        self.vectors = self.vocab = self.products = self.trained = None
         u, M = pos.dim, pos.max_offset
         self.tables = []
         for filt, b in self.pairs:
@@ -469,15 +469,16 @@ class Taps:
                 table[:, max(lw - j, 0):, max(j - lw, 0):] += products[j, j:j + count, None, None]
             self.tables.append((first, last, rows, table.reshape(-1, f)))
 
-    def with_words(self, vectors: np.ndarray, trained=None) -> "Taps":
+    def with_words(self, vectors: np.ndarray, vocab, trained=None) -> "Taps":
         """These taps plus the word taps of `vectors`, the (V, d) word rows
-        conv1d_tables reads. `trained`, if given, is a (table, at, rows)
-        triple: vectors[at] are the rows `rows` of the trainable table, which
-        then gets their gradient; other word rows are constants."""
+        conv1d_tables reads, with `vocab` mapping each word to its row, as
+        encoding.encode returns them. `trained`, if given, is a (table, at,
+        rows) triple: vectors[at] are the rows `rows` of the trainable table,
+        which then gets their gradient; other word rows are constants."""
         u = self.pos.dim
         _conv_pairs("conv1d_tables", self.pairs, u + vectors.shape[1])
         taps = copy.copy(self)
-        taps.vectors, taps.trained = vectors, trained
+        taps.vectors, taps.vocab, taps.trained = vectors, vocab, trained
         if trained is not None:
             taps.tensors = self.tensors + [trained[0]]
         taps.products = []

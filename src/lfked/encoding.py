@@ -1,16 +1,15 @@
 """Word embeddings, learned position embeddings, and sentence encoding.
 
-The encoder turns sentences, packed one after another with an anchor each,
-into the input of the first CNN layer: row i of a sentence is a position
-vector for offset i - anchor beside the word vector of token i, given as a
-lookup into each of two tables. The first layer reads the word lookup: it
-takes the distinct words' vectors into its taps (autodiff.Taps), whose
-position terms come from the position table itself, and a trainable word
-table gets its gradient through them. The keyword encoder turns keyword
-sets into one row each; an empty set, or one that repeats a keyword, is
-refused with the message of corpus.LFKExample.validate. Word vectors are
-frozen by default; pass a WordTable to make them trainable. Position
-vectors are always learned.
+Row i of a sentence enters the first CNN layer as a position vector for
+offset i - anchor beside the word vector of token i. The first layer holds
+the position table itself (autodiff.Taps); `encode` gives it the words: the
+distinct tokens' vectors, looked up once each, and the map from a token to
+its row of them, which layer 1 reads every token through. A trainable word
+table gets its gradient through the taps of those vectors. The keyword
+encoder turns keyword sets into one row each; an empty set, or one that
+repeats a keyword, is refused with the message of corpus.LFKExample.validate.
+Word vectors are frozen by default; pass a WordTable to make them trainable.
+Position vectors are always learned.
 
 Embedding file format: one line per token, "token v1 v2 ... v_dim",
 space-separated decimal floats.
@@ -162,30 +161,12 @@ class WordTable:
         self.emb = emb
         self.matrix = Tensor(emb.rows(self.tokens), requires_grad=True)
 
-    def row_indices(self, tokens) -> np.ndarray:
-        try:
-            return np.array([self.index[t] for t in tokens], dtype=np.intp)
-        except KeyError as e:
-            raise ValueError(
-                f"token {e.args[0]!r} missing from the word table vocabulary"
-            ) from e
-
     def link(self, tokens) -> tuple[np.ndarray, np.ndarray]:
         """(at, rows): the places in `tokens` of the tokens in the vocabulary,
         and their rows of the matrix."""
         at = [i for i, t in enumerate(tokens) if t in self.index]
-        return np.array(at, dtype=np.intp), self.row_indices([tokens[i] for i in at])
-
-    def vectors(self, tokens) -> np.ndarray:
-        """The values of rows(tokens), recorded on no tape."""
-        at, rows = self.link(tokens)
-        if len(at) == len(tokens):
-            return self.matrix.data.take(rows, axis=0)
-        out = np.empty((len(tokens), self.dim))
-        out[at] = self.matrix.data[rows]
-        unseen = np.setdiff1d(np.arange(len(tokens)), at)
-        out[unseen] = self.emb.rows([tokens[i] for i in unseen])
-        return out
+        return (np.array(at, dtype=np.intp),
+                np.array([self.index[tokens[i]] for i in at], dtype=np.intp))
 
     def rows(self, tokens) -> Tensor:
         """(len(tokens), dim) word vectors: trainable rows of the matrix, and
@@ -212,25 +193,25 @@ def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Te
     return Tensor(emb.rows(tokens)) if words is None else words.rows(tokens)
 
 
-def encode(tokens, lengths, anchors, emb: EmbeddingTable, pos: PositionTable,
-           words: WordTable | None = None):
-    """The input rows of sentences packed one after another, as two (table,
-    index) lookups: row i is the position row of token i beside its word
-    vector. `tokens` holds every sentence's tokens in order, `lengths` their
-    counts and `anchors` one index into each sentence.
-
-    The positions index the whole position table. The word table holds the
-    distinct tokens' vectors in first-occurrence order, as constants, so each
-    is looked up once and every row of it is read: layer 1 takes its taps of
-    them (autodiff.Taps), and a WordTable gets its gradient through those."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    anchors = np.asarray(anchors, dtype=np.intp)
-    check_anchors(anchors, lengths)
-    offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths + anchors, lengths)
-    first = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
-    word_index = np.fromiter(map(first.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    vectors = emb.rows(list(first)) if words is None else words.vectors(list(first))
-    return [(pos.table, pos.row_indices(offsets)), (Tensor(vectors), word_index)]
+def encode(tokens, emb: EmbeddingTable, words: WordTable | None = None):
+    """Layer 1's words for `tokens`, as (vectors, vocab, trained): the
+    distinct tokens' vectors in first-occurrence order, each looked up once,
+    as constants; the map from each token to its row of them; and, with a
+    WordTable, the (matrix, at, rows) triple of autodiff.Taps.with_words:
+    vectors[at] are the matrix rows `rows`, and the tokens outside its
+    vocabulary keep their frozen vectors from the table it was built from.
+    Without a WordTable, trained is None."""
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+    distinct = list(vocab)
+    if words is None:
+        return emb.rows(distinct), vocab, None
+    at, rows = words.link(distinct)
+    vectors = np.empty((len(distinct), words.dim))
+    vectors[at] = words.matrix.data[rows]
+    unseen = np.setdiff1d(np.arange(len(distinct)), at)
+    if len(unseen):
+        vectors[unseen] = words.emb.rows([distinct[i] for i in unseen])
+    return vectors, vocab, (words.matrix, at, rows)
 
 
 def keyword_repr(keyword_sets, emb: EmbeddingTable,

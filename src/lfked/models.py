@@ -24,10 +24,11 @@ row is one row of the first table plus one word row per tap, the terms of
 the per-tap sum in the same order. A training step builds one set of taps
 for all its examples (step_taps); a scoring pass builds its position taps
 once and each chunk adds the word taps of its words; any other forward
-builds taps for its own examples. Layers 2 and up read the rows of the
-layer below through `conv1d_same`. Nothing
-before the first CFA step, the attention head or the
-concat with V_K reads the keywords, so a batch's distinct (tokens, anchor)
+builds taps for its own examples. Each set of word taps comes from one
+`encode` call, whose vocab every token's row is read through. Layers 2 and
+up read the rows of the layer below through `conv1d_same`. Nothing before
+the first CFA step, the attention head or the concat with V_K reads the
+keywords, so a batch's distinct (tokens, anchor)
 contexts are encoded and convolved once each: at the first op that reads
 V_K, one `take_rows` gives each example its context's rows (for the concat
 head, its pooled row), and on a tape it sums the gradients of the examples
@@ -90,7 +91,7 @@ HEADS = ("concat", "attention")
 # Rows per chunk of logits_batch in its widest layer: tokens of distinct
 # contexts for plain concat, of examples otherwise (see _chunks); a longer
 # sentence is a chunk of its own. With one BLAS thread on a 2-core machine,
-# layer 1 from PositionTaps, medians of 7 alternating scoring processes
+# layer 1 from ad.Taps, medians of 7 alternating scoring processes
 # (each the best of 40 passes, 7 for bulk) of the three benchmark test sets
 # at 512 / 1024: 20.7 / 17.5 ms (short), 58.6 / 62.3 ms (mixed), 0.46 /
 # 0.44 s (bulk), with 10-30% between processes. 1024 raises each process's
@@ -304,17 +305,17 @@ class Model:
         a training step's (step_taps), whose words cover these examples, or a
         scoring pass's position taps, which get these examples' word taps;
         without them, layer 1 runs from taps built for these examples alone.
-        An anchor outside its sentence raises ValueError."""
+        Either way each token's row is read through the taps' vocab. Building
+        taps refuses an anchor outside its sentence with ValueError."""
         cfg, p = self.config, self.params
         conv_act = ACTIVATIONS[cfg.conv_act]
         contexts, ctx = _contexts(examples, keys)
         lengths, anchors = _lengths_anchors(contexts)
         tokens = [t for ex in contexts for t in ex.tokens]
+        if taps is None or taps.vocab is None:
+            taps = self._taps_for(tokens, lengths, anchors, taps)
         # layer 1 reads each token's row among the taps' words
-        if taps is not None and taps.vocab is not None:
-            h = np.fromiter(map(taps.vocab.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        else:
-            taps, h = self._taps_for(tokens, lengths, anchors, taps)
+        h = np.fromiter(map(taps.vocab.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         v_k = keyword_repr([ex.keywords for ex in examples], self.emb, self.words)
 
         cfa_at = set(cfg.cfa_layers())
@@ -358,16 +359,14 @@ class Model:
         return ad.Taps(self._layer_windows(1), self.pos, -int(np.max(anchors)),
                        int(np.max(np.subtract(lengths, anchors))) - 1)
 
-    def _taps_for(self, tokens, lengths, anchors, taps=None):
-        """Layer 1's taps for packed sentences and each token's word row in
-        them: `taps` (position taps over their offsets if None) plus the word
-        taps of their distinct tokens, which `encode` looks up."""
-        (_, _), (words, index) = encode(tokens, lengths, anchors, self.emb, self.pos, self.words)
-        trained = None
-        if self.words is not None:
-            trained = (self.words.matrix, *self.words.link(list(dict.fromkeys(tokens))))
+    def _taps_for(self, tokens, lengths, anchors, taps=None) -> ad.Taps:
+        """Layer 1's taps for packed sentences: `taps` (position taps over
+        their offsets if None) plus the word taps of their distinct tokens,
+        which `encode` looks up. An anchor outside its sentence raises
+        ValueError."""
+        check_anchors(anchors, lengths)
         taps = taps or self._position_taps(lengths, anchors)
-        return taps.with_words(words.data, trained), index
+        return taps.with_words(*encode(tokens, self.emb, self.words))
 
     def step_taps(self, examples) -> ad.Taps:
         """Layer 1's taps for one training step over `examples`, from the
@@ -376,11 +375,8 @@ class Model:
         and filters. Every example's forward_batch(taps=...) then reads
         them, and a first `.grad` read sums the layer-1 gradient of all."""
         contexts, _ = _contexts(examples)
-        lengths, anchors = _lengths_anchors(contexts)
-        tokens = [t for ex in contexts for t in ex.tokens]
-        taps, index = self._taps_for(tokens, lengths, anchors)
-        taps.vocab = dict(zip(tokens, index.tolist()))
-        return taps
+        return self._taps_for([t for ex in contexts for t in ex.tokens],
+                              *_lengths_anchors(contexts))
 
     def forward(self, example, train: bool = False, rng=None,
                 aux: dict | None = None, taps=None) -> Tensor:

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from lfked import autodiff as ad
 from lfked.autodiff import Tape, Tensor
-from lfked.encoding import EmbeddingTable, PositionTable, WordTable, encode
+from lfked.encoding import EmbeddingTable, PositionTable, WordTable
 
 from fd import central_diff, max_rel_error
-from lookups import gathered, input_rows, taps_for
+from lookups import input_rows, lookups, taps_for
 
 
 def scalar_loss(op, *tensors):
@@ -391,7 +391,7 @@ def test_conv_tables_equal_conv_of_the_looked_up_rows(windows, trained):
         for g, w in zip(got_grads, want_grads):
             assert np.abs(w).max() > 0
             assert np.abs(g - w).max() <= 1e-12 * largest
-        positions = encode(tokens[:sum(lengths[:k])], lengths[:k], anchors[:k], emb, pos)[0][1]
+        positions = lookups(tokens[:sum(lengths[:k])], lengths[:k], anchors[:k], emb, pos)[0][1]
         unread = np.setdiff1d(np.arange(len(pos.table.data)), positions)
         assert unread.tolist() == ([] if k == len(lengths) else [0, 1, 2, 6, 7, 8])
         assert not got_grads[0][unread].any()
@@ -436,7 +436,7 @@ def test_conv_tables_gradient_matches_finite_differences():
 def test_conv_tables_rejects_indices_outside_a_table():
     pos = PositionTable(2, 3, np.random.default_rng(0))
     pair = (Tensor(np.ones((2, 5, 1))), Tensor(np.zeros(1)))
-    taps = ad.Taps([pair], pos, -1, 1).with_words(np.ones((2, 3)))
+    taps = ad.Taps([pair], pos, -1, 1).with_words(np.ones((2, 3)), {"a": 0, "b": 1})
     with pytest.raises(ad.ShapeError, match="outside the 2 word rows"):
         ad.conv1d_tables(taps, [0, 2], [2], [1])
     with pytest.raises(ad.ShapeError, match=r"lengths \[3\] do not split 2 rows"):
@@ -444,7 +444,7 @@ def test_conv_tables_rejects_indices_outside_a_table():
     with pytest.raises(ValueError, match="offsets -2..-1 outside the -1..1"):
         ad.conv1d_tables(taps, [0, 1], [2], [2])
     with pytest.raises(ad.ShapeError, match="input width 6"):
-        ad.Taps([pair], pos, -1, 1).with_words(np.ones((2, 4)))
+        ad.Taps([pair], pos, -1, 1).with_words(np.ones((2, 4)), {"a": 0, "b": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from lfked.encoding import (
 )
 from lfked.seeding import rng_for
 
-from lookups import gathered, taps_for
+from lookups import gathered, lookups, taps_for
 
 
 def table(dim=3, policy="zero", seed=0):
@@ -128,42 +128,79 @@ def test_position_table_shape_and_clamp():
     assert pos.row_indices([-9, -3, 2, 9]).tolist() == [0, 0, 5, 6]
 
 
-def test_encode_single_token():
+def test_encode_maps_tokens_in_first_occurrence_order():
+    emb = table(policy="random-fixed")
+    tokens = ["dog", "cat", "dog", "bird", "cat"]
+    vectors, vocab, trained = encode(tokens, emb)
+    assert list(vocab.items()) == [("dog", 0), ("cat", 1), ("bird", 2)]
+    assert all(t in vocab for t in tokens)
+    assert vectors.shape == (3, 3) and trained is None
+    for t, row in vocab.items():
+        assert (vectors[row] == emb.lookup(t)).all()
+
+
+def test_encode_looks_up_each_distinct_token_once(monkeypatch):
+    looked_up = []
+    lookup = EmbeddingTable.lookup
+    monkeypatch.setattr(EmbeddingTable, "lookup",
+                        lambda emb, t: (looked_up.append(t), lookup(emb, t))[1])
+    emb = table(policy="random-fixed")
+    tokens = ["dog", "cat", "dog", "bird", "cat", "bird"]
+    encode(tokens, emb)
+    assert looked_up == ["dog", "cat", "bird"]
+    words = WordTable(emb, ["cat", "dog"])
+    looked_up.clear()
+    encode(tokens, emb, words)
+    assert looked_up == ["bird"]                  # the one token outside the table
+
+
+def test_encode_reads_a_word_table():
+    emb = table(policy="random-fixed", seed=1)
+    words = WordTable(emb, ["cat", "dog"])
+    words.matrix.data += 1.0                      # trained away from emb
+    tokens = ["zzunseen", "cat", "bird", "dog", "cat"]
+    vectors, vocab, trained = encode(tokens, emb, words)
+    matrix, at, rows = trained
+    assert matrix is words.matrix
+    assert at.tolist() == [1, 3] and rows.tolist() == [words.index["cat"], words.index["dog"]]
+    assert (vectors[at] == words.matrix.data[rows]).all()
+    for t in ("zzunseen", "bird"):
+        assert (vectors[vocab[t]] == emb.lookup(t)).all()
+    vectors, _, trained = encode(["dog", "cat"], emb, words)
+    assert (vectors == words.matrix.data[[1, 0]]).all() and trained[1].tolist() == [0, 1]
+
+
+def test_reference_rows_single_token():
     emb, pos = table(), ptable()
-    enc = gathered(encode(["cat"], [1], [0], emb, pos))
+    enc = gathered(lookups(["cat"], [1], [0], emb, pos))
     assert enc.shape == (1, 7)
     want = np.concatenate([pos.table.data[3], emb.lookup("cat")])
     assert (enc.data[0] == want).all()
 
 
-def test_encode_offsets_from_anchor():
+def test_reference_rows_offsets_from_anchor():
     emb, pos = table(), ptable()
-    enc = gathered(encode(["cat", "dog", "cat"], [3], [0], emb, pos))
+    enc = gathered(lookups(["cat", "dog", "cat"], [3], [0], emb, pos))
     # anchor at 0: offsets 0, 1, 2 -> table rows 3, 4, 5
     for i, row in enumerate([3, 4, 5]):
         assert (enc.data[i, :4] == pos.table.data[row]).all()
         assert (enc.data[i, 4:] == emb.lookup(["cat", "dog", "cat"][i])).all()
 
 
-def test_encode_clamps_large_offsets():
+def test_reference_rows_clamp_large_offsets():
     emb = EmbeddingTable({}, 3, oov_policy="zero")
     pos = PositionTable(4, 30, rng_for(1, "pos"))
-    enc = gathered(encode([f"w{i}" for i in range(50)], [50], [0], emb, pos))
+    enc = gathered(lookups([f"w{i}" for i in range(50)], [50], [0], emb, pos))
     # row 49 has offset 49, clamped to 30
     assert (enc.data[49, :4] == pos.table.data[60]).all()
     assert (enc.data[49, :4] == enc.data[30, :4]).all()
     assert not (enc.data[29, :4] == enc.data[30, :4]).all()
 
 
-def test_encode_anchor_out_of_range():
-    with pytest.raises(ValueError, match="anchor 3"):
-        encode(["a", "b"], [2], [3], table(), ptable())
-
-
-def test_encode_shape_property():
+def test_reference_rows_shape_property():
     emb, pos = table(), ptable()
     for n in (1, 2, 5, 11):
-        enc = gathered(encode([f"w{i}" for i in range(n)], [n], [n // 2], emb, pos))
+        enc = gathered(lookups([f"w{i}" for i in range(n)], [n], [n // 2], emb, pos))
         assert enc.shape == (n, pos.dim + emb.dim)
 
 
@@ -180,22 +217,20 @@ def test_position_grads_flow_words_stay_frozen():
     emb, pos = table(), ptable()
     before = emb.vectors["cat"].copy()
     with Tape() as tape:
-        enc = gathered(encode(["cat", "dog"], [2], [1], emb, pos))
+        enc = gathered(lookups(["cat", "dog"], [2], [1], emb, pos))
         tape.backward(mean(enc))
     assert pos.table.grad is not None and np.abs(pos.table.grad).sum() > 0
     assert (emb.vectors["cat"] == before).all()
 
 
-def test_encode_packs_sentences_one_after_another():
+def test_reference_rows_pack_sentences_one_after_another():
     emb, pos = table(policy="random-fixed"), ptable()
     sentences = [(["cat"], 0), (["dog", "cat", "bird", "cat"], 3), (["bird", "dog"], 0)]
     tokens = [t for toks, _ in sentences for t in toks]
-    packed = gathered(encode(tokens, [len(t) for t, _ in sentences],
-                             [a for _, a in sentences], emb, pos)).data
-    alone = [gathered(encode(toks, [len(toks)], [a], emb, pos)).data for toks, a in sentences]
+    packed = gathered(lookups(tokens, [len(t) for t, _ in sentences],
+                              [a for _, a in sentences], emb, pos)).data
+    alone = [gathered(lookups(toks, [len(toks)], [a], emb, pos)).data for toks, a in sentences]
     assert (packed == np.concatenate(alone)).all()
-    with pytest.raises(ValueError, match="anchor 2 outside 0..1"):
-        encode(tokens, [1, 2, 4], [0, 2, 0], emb, pos)
 
 
 # --- keyword representation -------------------------------------------------
@@ -280,8 +315,7 @@ def test_word_table_lookup_and_grads():
     # encode's word rows are constants; the table's gradient comes through
     # layer 1's taps of them
     pos = ptable()
-    lookups = encode(["cat", "dog"], [2], [0], emb, pos, words=words)
-    assert not lookups[1][0].requires_grad
+    assert isinstance(encode(["cat", "dog"], emb, words)[0], np.ndarray)
     with Tape() as tape:
         tape.backward(mean(layer_one(["cat", "dog"], [2], [0], emb, pos, words)))
     assert np.abs(words.matrix.grad).sum() > 0
@@ -295,19 +329,13 @@ def test_word_table_keyword_repr_matches_frozen():
     assert np.abs(frozen - trainable).max() < 1e-15
 
 
-def test_word_table_missing_token():
-    words = WordTable(table(), ["cat"])
-    with pytest.raises(ValueError, match="missing from the word table"):
-        words.row_indices(["dog"])
-
-
 def test_word_table_unseen_tokens_keep_frozen_vectors():
     emb = table(policy="random-fixed", seed=1)
     words = WordTable(emb, ["cat", "dog"])
     words.matrix.data += 1.0                      # trained away from emb
     tokens = ["zzunseen", "cat", "bird", "dog", "zzunseen"]
     pos = ptable()
-    rows = gathered(encode(tokens, [len(tokens)], [1], emb, pos, words=words)).data[:, pos.dim:]
+    rows = gathered(lookups(tokens, [len(tokens)], [1], emb, pos, words)).data[:, pos.dim:]
     for i, t in enumerate(tokens):
         want = words.matrix.data[words.index[t]] if t in words.index else emb.lookup(t)
         assert (rows[i] == want).all(), t

@@ -31,7 +31,7 @@ from lfked.seeding import rng_for
 from lfked.training import Adadelta, batch_gradients
 
 from fd import central_diff, max_rel_error
-from lookups import gathered
+from lookups import gathered, lookups
 
 
 def tiny_config(**kw):
@@ -322,7 +322,7 @@ def test_train_forward_needs_rng_and_applies_dropout():
 def test_concat_pipeline_matches_hand_wired_oracle():
     # cfa off, concat head: wire the same computation directly from autodiff
     # ops, activating before the pooling, and compare.
-    from lfked.encoding import encode, keyword_repr
+    from lfked.encoding import keyword_repr
 
     emb = tiny_emb()
     ex = example(n=6, anchor=3)
@@ -332,7 +332,7 @@ def test_concat_pipeline_matches_hand_wired_oracle():
         model = Model(cfg, emb)
         got = model.forward(ex).data
 
-        h = gathered(encode(ex.tokens, [len(ex.tokens)], [ex.anchor], emb, model.pos))
+        h = gathered(lookups(ex.tokens, [len(ex.tokens)], [ex.anchor], emb, model.pos))
         v_k = keyword_repr([ex.keywords], emb)
         p = model.params
         for i in (1, 2):
@@ -573,7 +573,8 @@ def test_layer_one_runs_from_taps_on_every_route(monkeypatch):
     # A forward builds taps for its own examples, a training step builds one
     # set for all its examples, and a scoring pass builds its position taps
     # once and adds each chunk's word taps: every route runs layer 1 through
-    # conv1d_tables, which calls no other conv op.
+    # conv1d_tables, which calls no other conv op, and calls encode once per
+    # set of word taps.
     calls, active = [], []
     for name in ("conv1d_same", "conv1d_tables"):
         def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
@@ -585,17 +586,33 @@ def test_layer_one_runs_from_taps_on_every_route(monkeypatch):
                 active.pop()
         monkeypatch.setattr(ad, name, spy)
     _spy_taps(monkeypatch, calls)
+    monkeypatch.setattr(models, "encode", lambda *args, _encode=models.encode: (
+        calls.append("encode"), _encode(*args))[1])
     model = case_model("finetune-words")
     nine = [LFKExample([f"w{i}" for i in range(9)], a, ("k0", "k1"), a % 2) for a in (0, 4, 8)]
     layers = ["conv1d_tables", "Taps.conv", "conv1d_same"]
     model.forward(nine[0])
-    assert calls == ["Taps"] + layers
+    assert calls == ["Taps", "encode"] + layers
     calls.clear()
     batch_gradients(model, model.named_params().values(), nine, rng_for(0, "dropout", 1))
-    assert calls == ["Taps"] + layers * len(nine)
+    assert calls == ["Taps", "encode"] + layers * len(nine)
     calls.clear()
-    model.logits_batch(mixed_batch())
-    assert calls == ["Taps"] + layers
+    batch = mixed_batch() * 3
+    chunks = len(list(_chunks(batch)))
+    assert chunks > 1
+    model.logits_batch(batch)
+    assert calls == ["Taps"] + (["encode"] + layers) * chunks
+
+
+def test_anchors_outside_their_sentence_are_refused_on_every_route():
+    model, batch = case_model("concat"), mixed_batch()
+    bad = LFKExample(["w0", "w1"], 3, ("k0",), 1)
+    routes = [lambda: model.forward(bad), lambda: model.logits_batch(batch + [bad]),
+              lambda: batch_gradients(model, model.named_params().values(), batch + [bad],
+                                      rng_for(0, "dropout", 1))]
+    for route in routes:
+        with pytest.raises(ValueError, match="anchor 3 outside 0..1"):
+            route()
 
 
 @pytest.mark.parametrize("case", ["attention-cfa", "concat"])
@@ -674,7 +691,7 @@ def test_taped_forward_with_position_taps_keeps_layer_one_gradients(case):
 
 def test_position_taps_refuse_offsets_outside_their_reach():
     model = case_model("concat")
-    taps = ad.Taps(model._layer_windows(1), model.pos, -2, 2).with_words(np.ones((3, 8)))
+    taps = ad.Taps(model._layer_windows(1), model.pos, -2, 2).with_words(np.ones((3, 8)), {"a": 0, "b": 1, "c": 2})
     with pytest.raises(ValueError, match="offsets -1..3 outside the -2..2"):
         ad.conv1d_tables(taps, [0, 1, 2, 0, 1], [5], [1])
     assert ad.conv1d_tables(taps, [0, 1, 2, 0, 1], [5], [2]).shape == (5, 6)

@@ -37,14 +37,13 @@ from lfked.encoding import (
     EmbeddingTable,
     PositionTable,
     WordTable,
-    encode,
     load_embeddings,
     write_embeddings,
 )
 from lfked.models import Model, ModelConfig
 from lfked.seeding import rng_for
 
-from lookups import gathered, taps_for
+from lookups import gathered, lookups, taps_for
 from test_models import tiny_config, tiny_emb
 
 VOCAB = [f"w{i}" for i in range(12)]
@@ -123,7 +122,7 @@ def test_position_taps_equal_conv_of_the_gathered_rows(packed, windows, max_offs
     pos = PositionTable(2, max_offset, rng)
     pairs = [(Tensor(rng.uniform(-1, 1, (w, 5, 2))), Tensor(rng.uniform(-1, 1, 2)))
              for w in windows]
-    want = ad.conv1d_same(gathered(encode(tokens, lengths, anchors, emb, pos, words)), pairs,
+    want = ad.conv1d_same(gathered(lookups(tokens, lengths, anchors, emb, pos, words)), pairs,
                           lengths=lengths).data
     taps, index = taps_for(pairs, tokens, lengths, anchors, emb, pos, words, wider)
     got = ad.conv1d_tables(taps, index, lengths, anchors).data
