@@ -30,7 +30,6 @@ from .corpus import (
 from .datagen import SynthSpec, generate_lfk, synth_corpus
 from .encoding import (
     EmbeddingTable,
-    PositionTable,
     WordTable,
     encode,
     keyword_repr,
@@ -54,7 +53,6 @@ __all__ = [
     "Model",
     "ModelConfig",
     "NumericError",
-    "PositionTable",
     "Sentence",
     "SynthSpec",
     "Tape",

@@ -423,20 +423,20 @@ class Taps:
     training step, per forward without a step, or per scoring pass.
 
     Layer 1 reads row i of an L-token sentence as the position row of its
-    offset from the anchor (a row of `pos.table`, clamped at
-    `pos.max_offset`) beside its word vector. A window of width w reads
-    lw = (w-1)//2 rows to the left and rw = w//2 to the right, so what its
-    position taps add to row i depends only on the row's signature: its
-    offset clamped to [-max_offset - rw, max_offset + lw] (past these, every
-    row the window reads clamps to the same position row), min(i, lw) and
-    min(L-1-i, rw) (its neighbours inside the sentence). Per window, the
-    signature table holds for each signature the bias plus the products of
-    the position rows read with their taps, added in tap order, over the
-    offsets lo..hi only. `with_words` adds the products of a set of word
-    vectors with every word tap, plus a zero row for reads outside a
-    sentence: 8 * f * w bytes per word and window. A row of layer 1 is its
-    signature row plus, tap by tap, the word taps of the word it reads: the
-    terms and order of conv1d_same's sum of products.
+    offset from the anchor beside its word vector. The position table
+    `positions`, (2M + 1, u), holds offset k - M in row k; an offset past M
+    on either side reads the edge row. A window of width w reads lw = (w-1)//2
+    rows to the left and rw = w//2 to the right, so what its position taps
+    add to row i depends only on the row's signature: its offset clamped to
+    [-M - rw, M + lw] (past these, every row the window reads clamps to the
+    same position row), min(i, lw) and min(L-1-i, rw) (its neighbours inside
+    the sentence). Per window, the signature table holds for each signature
+    the bias plus the products of the position rows read with their taps,
+    added in tap order, over the offsets lo..hi only. `with_words` adds the
+    products of a set of word vectors with every word tap, plus a zero row
+    for reads outside a sentence: 8 * f * w bytes per word and window. A row
+    of layer 1 is its signature row plus, tap by tap, the word taps of the
+    word it reads: the terms and order of conv1d_same's sum of products.
 
     The backward runs the other way. conv1d_tables queues each output
     gradient with its sentences on the taps' tensors, and the first `.grad`
@@ -445,12 +445,12 @@ class Taps:
     and by word read for the word taps and a trainable word table.
     """
 
-    def __init__(self, pairs, pos, lo: int, hi: int):
-        self.pairs, self.pos, self.reach = list(pairs), pos, (lo, hi)
-        self.tensors = [t for pair in self.pairs for t in pair] + [pos.table]
+    def __init__(self, pairs, positions: Tensor, lo: int, hi: int):
+        self.pairs, self.positions, self.reach = list(pairs), positions, (lo, hi)
+        self.tensors = [t for pair in self.pairs for t in pair] + [positions]
         # set by with_words; vocab maps each word to its row of vectors
         self.vectors = self.vocab = self.products = self.trained = None
-        u, M = pos.dim, pos.max_offset
+        M, u = (positions.data.shape[0] - 1) // 2, positions.data.shape[1]
         self.tables = []
         for filt, b in self.pairs:
             w, _, f = filt.data.shape
@@ -459,8 +459,8 @@ class Taps:
             count = max(last - first + 1, 0)
             # tap j of the row at offset o reads the position row of offset
             # o + j - lw, which is rows[o - first + j]
-            rows = pos.row_indices(np.arange(first - lw, first + count + rw))
-            products = np.matmul(pos.table.data[rows], filt.data[:, :u])
+            rows = np.clip(np.arange(first - lw, first + count + rw), -M, M) + M
+            products = np.matmul(positions.data[rows], filt.data[:, :u])
             table = np.empty((count, lw + 1, rw + 1, f))
             table[:] = b.data
             for j in range(w):
@@ -475,7 +475,7 @@ class Taps:
         encoding.encode returns them. `trained`, if given, is a (table, at,
         rows) triple: vectors[at] are the rows `rows` of the trainable table,
         which then gets their gradient; other word rows are constants."""
-        u = self.pos.dim
+        u = self.positions.data.shape[1]
         _conv_pairs("conv1d_tables", self.pairs, u + vectors.shape[1])
         taps = copy.copy(self)
         taps.vectors, taps.vocab, taps.trained = vectors, vocab, trained
@@ -557,8 +557,8 @@ class Taps:
         place, rest, offset, reads = self._rows(*(np.concatenate([c[k] for c in calls])
                                                   for k in (1, 2, 3)))
         by_read = {d: _group(r) for d, r in reads.items()}
-        u, V = self.pos.dim, len(self.vectors)
-        d_pos = np.zeros(self.pos.table.data.shape)
+        u, V = self.positions.data.shape[1], len(self.vectors)
+        d_pos = np.zeros(self.positions.data.shape)
         d_vectors = np.zeros(self.vectors.shape) if self.trained is not None else None
         adds = []
         for filt, b, table, rows, _, lw, signature, cols in self._windows(place, rest, offset):
@@ -569,11 +569,11 @@ class Taps:
             d_table = _group_sum(g_w, _group(signature), len(table)).reshape(count, lw + 1, -1, f)
             d_filt = np.empty(filt.data.shape)
             d_rows = np.zeros((len(rows), u))
-            positions = self.pos.table.data[rows]
+            pos_rows = self.positions.data[rows]
             for j in range(w):
                 # the gradient of every signature row that tap j adds to
                 g_j = d_table[:, max(lw - j, 0):, max(j - lw, 0):].sum(axis=(1, 2))
-                d_filt[j, :u] = positions[j:j + count].T @ g_j
+                d_filt[j, :u] = pos_rows[j:j + count].T @ g_j
                 d_rows[j:j + count] += g_j @ filt.data[j, :u].T
                 g_read = _group_sum(g_w, by_read[j - lw], V + 1)[:V]
                 d_filt[j, u:] = self.vectors.T @ g_read
@@ -583,7 +583,7 @@ class Taps:
             # rows repeats only where the offsets clamp, next to each other
             first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
             d_pos[rows[first]] += np.add.reduceat(d_rows, first, axis=0)
-        adds.append((self.pos.table, d_pos, None))
+        adds.append((self.positions, d_pos, None))
         if d_vectors is not None:
             table, at, rows = self.trained
             adds.append((table, d_vectors[at], rows))

@@ -49,8 +49,14 @@ from .corpus import (
     sha256_file,
 )
 from .datagen import SynthSpec, generate_lfk, synth_corpus
-from .encoding import OOV_POLICIES, WordTable, load_embeddings, write_embeddings
-from .gradcheck import DEFAULT_TOL, check_all
+from .encoding import (
+    DEFAULT_OOV_POLICY,
+    OOV_POLICIES,
+    WordTable,
+    load_embeddings,
+    write_embeddings,
+)
+from .gradcheck import DEFAULT_SEED, DEFAULT_TOL, check_all
 from .metrics import evaluate, report_json, report_text
 from .models import VARIANTS, Model, ModelConfig
 from .training import NumericError, TrainConfig, train
@@ -216,7 +222,8 @@ def cmd_train(args) -> int:
     train_cfg.validate()
     out = ensure_dir(args.out)
 
-    # The baseline has no layers, so it ignores --sweep-layers.
+    # The baseline has no layers and no word table, so it ignores
+    # --sweep-layers and --finetune-words.
     baseline = args.model == BASELINE
     sweep = args.sweep_layers and not baseline
     results = {}
@@ -375,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-layers", action="store_true",
                    help="train at layers 1..4 and keep the dev-best")
     p.file_only("cfa_last", ModelConfig.cfa_last, nargs=0)
-    p.file_only("oov_policy", "random-fixed", choices=OOV_POLICIES)
+    p.file_only("oov_policy", DEFAULT_OOV_POLICY, choices=OOV_POLICIES)
 
     p = command("eval", cmd_eval, "evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True, help="checkpoint file")
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gradcheck", cmd_gradcheck,
                 "finite-difference check of all model variants")
     p.add_argument("--config", help="JSON config file; flags override")
-    p.add_argument("--seed", type=int, default=11, help="check seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="check seed")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="max relative error allowed")
 

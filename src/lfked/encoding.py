@@ -1,15 +1,15 @@
-"""Word embeddings, learned position embeddings, and sentence encoding.
+"""Word embeddings, sentence encoding and keyword encoding.
 
 Row i of a sentence enters the first CNN layer as a position vector for
-offset i - anchor beside the word vector of token i. The first layer holds
-the position table itself (autodiff.Taps); `encode` gives it the words: the
-distinct tokens' vectors, looked up once each, and the map from a token to
-its row of them, which layer 1 reads every token through. A trainable word
-table gets its gradient through the taps of those vectors. The keyword
-encoder turns keyword sets into one row each; an empty set, or one that
-repeats a keyword, is refused with the message of corpus.LFKExample.validate.
-Word vectors are frozen by default; pass a WordTable to make them trainable.
-Position vectors are always learned.
+offset i - anchor beside the word vector of token i. The position table is
+a model parameter, which layer 1's taps read and clamp (autodiff.Taps);
+`encode` gives layer 1 the words: the distinct tokens' vectors, looked up
+once each, and the map from a token to its row of them, which layer 1 reads
+every token through. A trainable word table gets its gradient through the
+taps of those vectors. The keyword encoder turns keyword sets into one row
+each; an empty set, or one that repeats a keyword, is refused with the
+message of corpus.LFKExample.validate. Word vectors are frozen by default;
+pass a WordTable to make them trainable.
 
 Embedding file format: one line per token, "token v1 v2 ... v_dim",
 space-separated decimal floats.
@@ -29,6 +29,7 @@ from .seeding import rng_for
 log = logging.getLogger(__name__)
 
 OOV_POLICIES = ("random-fixed", "zero")
+DEFAULT_OOV_POLICY = OOV_POLICIES[0]
 
 
 class EmbeddingTable:
@@ -41,7 +42,7 @@ class EmbeddingTable:
     """
 
     def __init__(self, vectors: dict[str, np.ndarray], dim: int,
-                 oov_policy: str = "random-fixed", seed: int = 0):
+                 oov_policy: str = DEFAULT_OOV_POLICY, seed: int = 0):
         if oov_policy not in OOV_POLICIES:
             raise ValueError(f"oov_policy must be one of {OOV_POLICIES}, got {oov_policy!r}")
         for tok, v in vectors.items():
@@ -78,7 +79,7 @@ class EmbeddingTable:
         return np.concatenate([self.lookup(t) for t in tokens]).reshape(len(tokens), self.dim)
 
 
-def load_embeddings(path, dim: int | None = None, oov_policy: str = "random-fixed",
+def load_embeddings(path, dim: int | None = None, oov_policy: str = DEFAULT_OOV_POLICY,
                     seed: int = 0) -> EmbeddingTable:
     """Read an embedding file; with dim None, its first non-blank line sets it."""
     vectors: dict[str, np.ndarray] = {}
@@ -120,27 +121,6 @@ def write_embeddings(vectors: dict[str, np.ndarray], path):
 def demo_embeddings_path():
     """Small 50-dim table bundled for tests and demos."""
     return resources.files("lfked").joinpath("data/demo_embeddings_50d.txt")
-
-
-class PositionTable:
-    """Learned embeddings of token offsets relative to the anchor.
-
-    Row k holds the vector for offset k - max_offset; offsets outside
-    [-max_offset, max_offset] clamp to the nearest edge.
-    """
-
-    def __init__(self, dim: int, max_offset: int, rng):
-        if dim < 1 or max_offset < 0:
-            raise ValueError(f"bad position table shape: dim={dim} max_offset={max_offset}")
-        self.dim = dim
-        self.max_offset = max_offset
-        self.table = Tensor(
-            rng.uniform(-0.1, 0.1, (2 * max_offset + 1, dim)), requires_grad=True
-        )
-
-    def row_indices(self, offsets) -> np.ndarray:
-        off = np.asarray(offsets, dtype=np.intp)
-        return np.clip(off, -self.max_offset, self.max_offset) + self.max_offset
 
 
 class WordTable:

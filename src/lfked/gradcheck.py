@@ -25,6 +25,7 @@ from .seeding import rng_for
 DEFAULT_H = 1e-5
 DEFAULT_FLOOR = 1e-6
 DEFAULT_TOL = 1e-4
+DEFAULT_SEED = 11
 
 
 def numeric_grad(f, arr: np.ndarray, h: float = DEFAULT_H) -> np.ndarray:
@@ -50,7 +51,7 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray,
     return float(np.max(np.abs(a - n) / denom))
 
 
-def tiny_check_config(variant: str, seed: int = 11) -> ModelConfig:
+def tiny_check_config(variant: str, seed: int = DEFAULT_SEED) -> ModelConfig:
     """Small shapes: 8-dim words, 4-dim positions, 3 filters at windows 2 and
     3, two stacked layers, on a 5-token example."""
     return ModelConfig(
@@ -75,7 +76,8 @@ class CheckResult:
     passed: bool
 
 
-def check_variant(variant: str, seed: int = 11, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_variant(variant: str, seed: int = DEFAULT_SEED,
+                  tol: float = DEFAULT_TOL) -> CheckResult:
     config = tiny_check_config(variant, seed=seed)
     rng = rng_for(seed, "gradcheck", "emb")
     vocab = [f"w{i}" for i in range(8)] + [f"k{i}" for i in range(4)]
@@ -103,5 +105,5 @@ def check_variant(variant: str, seed: int = 11, tol: float = DEFAULT_TOL) -> Che
     return CheckResult(variant, worst, worst_name, worst < tol)
 
 
-def check_all(seed: int = 11, tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def check_all(seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     return [check_variant(v, seed=seed, tol=tol) for v in sorted(VARIANTS)]

@@ -63,7 +63,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoding import (
     EmbeddingTable,
-    PositionTable,
     WordTable,
     check_anchors,
     encode,
@@ -178,7 +177,8 @@ class ModelConfig:
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape for every learned tensor except the position table."""
+    """Name -> shape for every learned tensor. The position table comes last,
+    where named_params, and so every checkpoint, has always held it."""
     d, u = config.word_dim, config.pos_dim
     F = config.feature_width
     shapes: dict[str, tuple[int, ...]] = {}
@@ -201,6 +201,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["ffn.hidden.b"] = (config.ffn_hidden,)
     shapes["ffn.out.w"] = (2, config.ffn_hidden)
     shapes["ffn.out.b"] = (2,)
+    shapes["pos.table"] = (2 * config.max_offset + 1, u)
     return shapes
 
 
@@ -279,14 +280,10 @@ class Model:
         self.config = config
         self.emb = emb
         self.words = words
-        self.pos = PositionTable(
-            config.pos_dim, config.max_offset, rng_for(config.seed, "init", "pos.table")
-        )
         self.params = init_params(config)
 
     def named_params(self) -> dict[str, Tensor]:
         out = dict(self.params)
-        out["pos.table"] = self.pos.table
         if self.words is not None:
             out["words.matrix"] = self.words.matrix
         return out
@@ -356,8 +353,8 @@ class Model:
 
     def _position_taps(self, lengths, anchors) -> ad.Taps:
         """Layer 1's position taps over the offsets these sentences reach."""
-        return ad.Taps(self._layer_windows(1), self.pos, -int(np.max(anchors)),
-                       int(np.max(np.subtract(lengths, anchors))) - 1)
+        return ad.Taps(self._layer_windows(1), self.params["pos.table"],
+                       -int(np.max(anchors)), int(np.max(np.subtract(lengths, anchors))) - 1)
 
     def _taps_for(self, tokens, lengths, anchors, taps=None) -> ad.Taps:
         """Layer 1's taps for packed sentences: `taps` (position taps over

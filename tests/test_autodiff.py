@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from lfked import autodiff as ad
 from lfked.autodiff import Tape, Tensor
-from lfked.encoding import EmbeddingTable, PositionTable, WordTable
+from lfked.encoding import EmbeddingTable, WordTable
 
 from fd import central_diff, max_rel_error
-from lookups import input_rows, lookups, taps_for
+from lookups import input_rows, lookups, position_table, taps_for
 
 
 def scalar_loss(op, *tensors):
@@ -344,7 +344,7 @@ def _table_inputs(seed):
     emb = EmbeddingTable({f"w{i}": rng.normal(size=3) for i in range(8)}, 3)
     words = WordTable(emb, [f"w{i}" for i in range(7)])
     words.matrix.data += rng.normal(scale=0.1, size=words.matrix.shape)
-    pos = PositionTable(2, 4, rng)
+    pos = position_table(2, 4, rng)
     sizes = (1, 2, 9, 30, 60, 600)
     lengths = [n for n in sizes for _ in range(3)]
     anchors = [a for n in sizes for a in (0, min(n - 1, 2), n - 1)]
@@ -368,7 +368,7 @@ def test_conv_tables_equal_conv_of_the_looked_up_rows(windows, trained):
         """The layer over the first k sentences, from taps or from their
         gathered rows: the output and the gradients."""
         n = sum(lengths[:k])
-        trainable = [pos.table] + ([words.matrix] if trained else [])
+        trainable = [pos] + ([words.matrix] if trained else [])
         ad.zero_grads(trainable)
         pairs = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
                  for w, b in params]
@@ -392,7 +392,7 @@ def test_conv_tables_equal_conv_of_the_looked_up_rows(windows, trained):
             assert np.abs(w).max() > 0
             assert np.abs(g - w).max() <= 1e-12 * largest
         positions = lookups(tokens[:sum(lengths[:k])], lengths[:k], anchors[:k], emb, pos)[0][1]
-        unread = np.setdiff1d(np.arange(len(pos.table.data)), positions)
+        unread = np.setdiff1d(np.arange(len(pos.data)), positions)
         assert unread.tolist() == ([] if k == len(lengths) else [0, 1, 2, 6, 7, 8])
         assert not got_grads[0][unread].any()
 
@@ -407,7 +407,7 @@ def test_conv_tables_gradient_matches_finite_differences():
         rng = np.random.default_rng(5)
         emb = EmbeddingTable({f"w{i}": rng.uniform(-1, 1, 3) for i in range(8)}, 3)
         words = WordTable(emb, [f"w{i}" for i in range(7)]) if finetune else None
-        pos = PositionTable(2, 2, rng)
+        pos = position_table(2, 2, rng)
         tokens = [f"w{i}" for i in rng.integers(0, 8, sum(lengths))]
         arrays = [rng.uniform(-1, 1, shape) for shape in [(4, 5, 2), (2,), (3, 5, 3), (3,)]]
         probe = Tensor(rng.uniform(-2, 2, (sum(lengths), 5)))
@@ -419,7 +419,7 @@ def test_conv_tables_gradient_matches_finite_differences():
                                   probe)), taps
 
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        trainable = [pos.table] + ([words.matrix] if finetune else [])
+        trainable = [pos] + ([words.matrix] if finetune else [])
         ad.zero_grads(trainable)
         with Tape() as tape:
             loss, taps = loss_of(*tensors)
@@ -434,7 +434,7 @@ def test_conv_tables_gradient_matches_finite_differences():
 
 
 def test_conv_tables_rejects_indices_outside_a_table():
-    pos = PositionTable(2, 3, np.random.default_rng(0))
+    pos = position_table(2, 3, np.random.default_rng(0))
     pair = (Tensor(np.ones((2, 5, 1))), Tensor(np.zeros(1)))
     taps = ad.Taps([pair], pos, -1, 1).with_words(np.ones((2, 3)), {"a": 0, "b": 1})
     with pytest.raises(ad.ShapeError, match="outside the 2 word rows"):

@@ -1,4 +1,6 @@
-"""Embedding tables, position lookup with clamping, and sentence encoding."""
+"""Embedding and word tables, sentence and keyword encoding, and the
+reference rows of layer 1's input, whose offsets clamp to the position
+table's edges as the taps' do."""
 
 import tracemalloc
 
@@ -8,7 +10,6 @@ import pytest
 from lfked.autodiff import Tape, Tensor, conv1d_tables, mean
 from lfked.encoding import (
     EmbeddingTable,
-    PositionTable,
     WordTable,
     demo_embeddings_path,
     encode,
@@ -18,7 +19,7 @@ from lfked.encoding import (
 )
 from lfked.seeding import rng_for
 
-from lookups import gathered, lookups, taps_for
+from lookups import gathered, lookups, position_rows, position_table, taps_for
 
 
 def table(dim=3, policy="zero", seed=0):
@@ -118,14 +119,7 @@ def test_demo_embeddings_bundled():
 
 
 def ptable(dim=4, max_offset=3, seed=0):
-    return PositionTable(dim, max_offset, rng_for(seed, "pos"))
-
-
-def test_position_table_shape_and_clamp():
-    pos = ptable()
-    assert pos.table.shape == (7, 4)
-    assert pos.row_indices([0]).tolist() == [3]
-    assert pos.row_indices([-9, -3, 2, 9]).tolist() == [0, 0, 5, 6]
+    return position_table(dim, max_offset, rng_for(seed, "pos"))
 
 
 def test_encode_maps_tokens_in_first_occurrence_order():
@@ -174,7 +168,7 @@ def test_reference_rows_single_token():
     emb, pos = table(), ptable()
     enc = gathered(lookups(["cat"], [1], [0], emb, pos))
     assert enc.shape == (1, 7)
-    want = np.concatenate([pos.table.data[3], emb.lookup("cat")])
+    want = np.concatenate([pos.data[3], emb.lookup("cat")])
     assert (enc.data[0] == want).all()
 
 
@@ -183,31 +177,46 @@ def test_reference_rows_offsets_from_anchor():
     enc = gathered(lookups(["cat", "dog", "cat"], [3], [0], emb, pos))
     # anchor at 0: offsets 0, 1, 2 -> table rows 3, 4, 5
     for i, row in enumerate([3, 4, 5]):
-        assert (enc.data[i, :4] == pos.table.data[row]).all()
+        assert (enc.data[i, :4] == pos.data[row]).all()
         assert (enc.data[i, 4:] == emb.lookup(["cat", "dog", "cat"][i])).all()
 
 
-def test_reference_rows_clamp_large_offsets():
+@pytest.mark.parametrize("max_offset, anchor, offsets, rows", [
+    (3, 9, [-9, -3, 0, 2, 9], [0, 0, 3, 5, 6]),
+    (30, 0, [29, 30, 49], [59, 60, 60]),
+], ids=["M3", "M30"])
+def test_reference_and_taps_clamp_offsets_to_the_table_edges(max_offset, anchor, offsets,
+                                                              rows):
+    # Row k of the table holds offset k - max_offset; an offset past
+    # max_offset reads the edge row, in the reference's rows and in the rows
+    # the taps read. One width-1 window whose taps copy the position row
+    # shows the taps' reads.
     emb = EmbeddingTable({}, 3, oov_policy="zero")
-    pos = PositionTable(4, 30, rng_for(1, "pos"))
-    enc = gathered(lookups([f"w{i}" for i in range(50)], [50], [0], emb, pos))
-    # row 49 has offset 49, clamped to 30
-    assert (enc.data[49, :4] == pos.table.data[60]).all()
-    assert (enc.data[49, :4] == enc.data[30, :4]).all()
-    assert not (enc.data[29, :4] == enc.data[30, :4]).all()
+    pos = ptable(max_offset=max_offset, seed=1)
+    assert pos.shape == (2 * max_offset + 1, 4)
+    assert position_rows(offsets, pos).tolist() == rows
+    n = anchor + max(offsets) + 1
+    tokens, at = [f"w{i}" for i in range(n)], np.add(anchor, offsets)
+    enc = gathered(lookups(tokens, [n], [anchor], emb, pos))
+    assert (enc.data[at, :4] == pos.data[rows]).all()
+    filt = np.zeros((1, 4 + emb.dim, 4))
+    filt[0, :4] = np.eye(4)
+    taps, index = taps_for([(Tensor(filt), Tensor(np.zeros(4)))], tokens, [n], [anchor], emb,
+                           pos)
+    assert (conv1d_tables(taps, index, [n], [anchor]).data[at] == pos.data[rows]).all()
 
 
 def test_reference_rows_shape_property():
     emb, pos = table(), ptable()
     for n in (1, 2, 5, 11):
         enc = gathered(lookups([f"w{i}" for i in range(n)], [n], [n // 2], emb, pos))
-        assert enc.shape == (n, pos.dim + emb.dim)
+        assert enc.shape == (n, pos.shape[1] + emb.dim)
 
 
 def layer_one(tokens, lengths, anchors, emb, pos, words=None):
     """A small layer 1 over the sentences, from their taps."""
     rng = rng_for(1, "filters")
-    pairs = [(Tensor(rng.normal(size=(w, pos.dim + emb.dim, 2)), requires_grad=True),
+    pairs = [(Tensor(rng.normal(size=(w, pos.shape[1] + emb.dim, 2)), requires_grad=True),
               Tensor(rng.normal(size=2), requires_grad=True)) for w in (2, 3)]
     taps, index = taps_for(pairs, tokens, lengths, anchors, emb, pos, words)
     return conv1d_tables(taps, index, lengths, anchors)
@@ -219,7 +228,7 @@ def test_position_grads_flow_words_stay_frozen():
     with Tape() as tape:
         enc = gathered(lookups(["cat", "dog"], [2], [1], emb, pos))
         tape.backward(mean(enc))
-    assert pos.table.grad is not None and np.abs(pos.table.grad).sum() > 0
+    assert pos.grad is not None and np.abs(pos.grad).sum() > 0
     assert (emb.vectors["cat"] == before).all()
 
 
@@ -335,7 +344,7 @@ def test_word_table_unseen_tokens_keep_frozen_vectors():
     words.matrix.data += 1.0                      # trained away from emb
     tokens = ["zzunseen", "cat", "bird", "dog", "zzunseen"]
     pos = ptable()
-    rows = gathered(lookups(tokens, [len(tokens)], [1], emb, pos, words)).data[:, pos.dim:]
+    rows = gathered(lookups(tokens, [len(tokens)], [1], emb, pos, words)).data[:, pos.shape[1]:]
     for i, t in enumerate(tokens):
         want = words.matrix.data[words.index[t]] if t in words.index else emb.lookup(t)
         assert (rows[i] == want).all(), t

@@ -85,6 +85,11 @@ def test_config_validation():
         tiny_config(dropout=1.0).validate()
     with pytest.raises(ValueError, match="conv_act"):
         tiny_config(conv_act="softplus").validate()
+    # the only guard of the position table's shape
+    with pytest.raises(ValueError, match="pos_dim must be positive"):
+        tiny_config(pos_dim=0).validate()
+    with pytest.raises(ValueError, match="max_offset must be nonnegative"):
+        tiny_config(max_offset=-1).validate()
 
 
 def test_config_variants():
@@ -109,6 +114,8 @@ def test_param_shapes_and_shared_init():
     assert shapes["conv1.w2.filters"] == (2, 12, 3)
     assert shapes["ffn.hidden.w"] == (8, cfg.feature_width + cfg.word_dim)
     assert "attn.u.w" not in shapes and "cfa1.gamma.w" not in shapes
+    assert list(shapes)[-1] == "pos.table"
+    assert shapes["pos.table"] == (2 * cfg.max_offset + 1, cfg.pos_dim)
 
     # same seed + same name -> identical values across different configs
     plain = init_params(cfg)
@@ -116,6 +123,8 @@ def test_param_shapes_and_shared_init():
     for name in plain:
         assert (plain[name].data == with_cfa[name].data).all(), name
     assert "cfa1.gamma.w" in with_cfa
+    want = rng_for(cfg.seed, "init", "pos.table").uniform(-0.1, 0.1, shapes["pos.table"])
+    assert (plain["pos.table"].data == want).all()
 
 
 def test_paper_scale_feature_width():
@@ -332,7 +341,8 @@ def test_concat_pipeline_matches_hand_wired_oracle():
         model = Model(cfg, emb)
         got = model.forward(ex).data
 
-        h = gathered(lookups(ex.tokens, [len(ex.tokens)], [ex.anchor], emb, model.pos))
+        h = gathered(lookups(ex.tokens, [len(ex.tokens)], [ex.anchor], emb,
+                             model.params["pos.table"]))
         v_k = keyword_repr([ex.keywords], emb)
         p = model.params
         for i in (1, 2):
@@ -691,7 +701,8 @@ def test_taped_forward_with_position_taps_keeps_layer_one_gradients(case):
 
 def test_position_taps_refuse_offsets_outside_their_reach():
     model = case_model("concat")
-    taps = ad.Taps(model._layer_windows(1), model.pos, -2, 2).with_words(np.ones((3, 8)), {"a": 0, "b": 1, "c": 2})
+    taps = ad.Taps(model._layer_windows(1), model.params["pos.table"], -2, 2).with_words(
+        np.ones((3, 8)), {"a": 0, "b": 1, "c": 2})
     with pytest.raises(ValueError, match="offsets -1..3 outside the -2..2"):
         ad.conv1d_tables(taps, [0, 1, 2, 0, 1], [5], [1])
     assert ad.conv1d_tables(taps, [0, 1, 2, 0, 1], [5], [2]).shape == (5, 6)

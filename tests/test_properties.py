@@ -35,7 +35,6 @@ from lfked.corpus import (
 from lfked.datagen import KEYWORDS_PER_EXAMPLE, POSITIVES_PER_MENTION, generate_lfk
 from lfked.encoding import (
     EmbeddingTable,
-    PositionTable,
     WordTable,
     load_embeddings,
     write_embeddings,
@@ -43,7 +42,7 @@ from lfked.encoding import (
 from lfked.models import Model, ModelConfig
 from lfked.seeding import rng_for
 
-from lookups import gathered, lookups, taps_for
+from lookups import gathered, lookups, position_table, taps_for
 from test_models import tiny_config, tiny_emb
 
 VOCAB = [f"w{i}" for i in range(12)]
@@ -119,7 +118,7 @@ def test_position_taps_equal_conv_of_the_gathered_rows(packed, windows, max_offs
     if finetune:
         words = WordTable(emb, TAP_TOKENS[:7])
         words.matrix.data += rng.normal(scale=0.1, size=words.matrix.shape)
-    pos = PositionTable(2, max_offset, rng)
+    pos = position_table(2, max_offset, rng)
     pairs = [(Tensor(rng.uniform(-1, 1, (w, 5, 2))), Tensor(rng.uniform(-1, 1, 2)))
              for w in windows]
     want = ad.conv1d_same(gathered(lookups(tokens, lengths, anchors, emb, pos, words)), pairs,
