@@ -299,26 +299,20 @@ def linear_rows(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def _layout(pairs, lengths, n: int):
     """The zero-padded layout of n packed rows shared by every window of a
-    conv: (W, left, start, gapped, n_pad).
+    conv: (W, left, start, n_pad).
 
     At the widest window W, `left` zero rows come first, then each sentence
     followed by `right` zero rows, so a window reads its own sentence's rows
     and zeros only. The W-wide window of row r starts at padded row start[r],
-    and row r sits `left` rows further down. Without gaps (one sentence) start
-    is a slice, which makes training steps about 2% faster than the index
-    array.
+    and row r sits `left` rows further down.
     """
     W = max(filt.data.shape[0] for filt, _ in pairs)
     if n < 1 or min(filt.data.shape[0] for filt, _ in pairs) < 1:
         raise ValueError("a convolution needs n >= 1 and window >= 1")
     lengths, _ = _segments(lengths, n)
     left, right = (W - 1) // 2, W // 2
-    gapped = len(lengths) > 1
-    if gapped:
-        start = np.arange(n) + right * np.repeat(np.arange(len(lengths)), lengths)
-    else:
-        start = slice(0, n)
-    return W, left, start, gapped, n + W - 1 + right * (len(lengths) - 1)
+    start = np.arange(n) + right * np.repeat(np.arange(len(lengths)), lengths)
+    return W, left, start, n + W - 1 + right * (len(lengths) - 1)
 
 
 def _placements(pairs, left: int):
@@ -362,7 +356,7 @@ def conv1d_same(seq: Tensor, pairs, lengths=None) -> Tensor:
         raise ShapeError(f"conv1d_same expects an (n,d) sequence, got {seq.shape}")
     n, d_in = seq.data.shape
     pairs = _conv_pairs("conv1d_same", pairs, d_in)
-    W, left, start, gapped, n_pad = _layout(pairs, lengths, n)
+    W, left, start, n_pad = _layout(pairs, lengths, n)
     padded = np.zeros((n_pad, d_in))
     padded[left:][start] = seq.data
     windows = np.arange(n_pad - (W - 1))[start]
@@ -376,10 +370,8 @@ def conv1d_same(seq: Tensor, pairs, lengths=None) -> Tensor:
         def rule(out=out, seq=seq):
             g = out.grad
             # output gradients by window start row; zero where no window starts
-            g_at = g
-            if gapped:
-                g_at = np.zeros((n_pad - (W - 1), g.shape[1]))
-                g_at[start] = g
+            g_at = np.zeros((n_pad - (W - 1), g.shape[1]))
+            g_at[start] = g
             dcol = np.zeros((len(g_at), W, d_in)) if seq.requires_grad else None
             for (filt, b), (w, off, cols) in zip(pairs, placed):
                 if b.requires_grad:

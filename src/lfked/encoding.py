@@ -168,11 +168,6 @@ def check_anchors(anchors, lengths):
         check_anchor(anchor, n)
 
 
-def word_rows(tokens, emb: EmbeddingTable, words: WordTable | None = None) -> Tensor:
-    """(len(tokens), emb.dim) word vectors, trainable when `words` is given."""
-    return Tensor(emb.rows(tokens)) if words is None else words.rows(tokens)
-
-
 def encode(tokens, emb: EmbeddingTable, words: WordTable | None = None):
     """Layer 1's words for `tokens`, as (vectors, vocab, trained): the
     distinct tokens' vectors in first-occurrence order, each looked up once,
@@ -209,5 +204,6 @@ def keyword_repr(keyword_sets, emb: EmbeddingTable,
         sets.append(kws)
     lengths = [len(kws) for kws in sets]
     weights = Tensor(np.repeat(1.0 / np.array(lengths), lengths))
-    return weighted_row_sum(weights, word_rows([k for kws in sets for k in kws], emb, words),
-                            lengths)
+    flat = [k for kws in sets for k in kws]
+    vectors = Tensor(emb.rows(flat)) if words is None else words.rows(flat)
+    return weighted_row_sum(weights, vectors, lengths)

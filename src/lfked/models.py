@@ -14,39 +14,39 @@ two logits. Variant names: concat, attention, concat-cfa, attention-cfa.
 `Model.forward_batch` is the one forward: it packs the sentences of a batch
 row after row into one matrix and passes their lengths to every layer, so a
 layer is a few matrix products per batch, and per-sentence vectors (V_K, the
-CFA scale and shift, the attention query) are (B, .) rows. A CNN layer is one
-convolution op for all its window sizes, with one product per window into
-its own column block of the layer's output. The first layer runs one way
-everywhere: `conv1d_tables` over ad.Taps, built from the current parameters.
-Per window, the taps hold the bias plus the position taps of every position
-signature a row can have, and each word's product with every word tap, so a
-row is one row of the first table plus one word row per tap, the terms of
-the per-tap sum in the same order. A training step builds one set of taps
-for all its examples (step_taps); a scoring pass builds its position taps
-once and each chunk adds the word taps of its words; any other forward
-builds taps for its own examples. Each set of word taps comes from one
-`encode` call, whose vocab every token's row is read through. Layers 2 and
-up read the rows of the layer below through `conv1d_same`. Nothing before
-the first CFA step, the attention head or the concat with V_K reads the
-keywords, so a batch's distinct (tokens, anchor)
-contexts are encoded and convolved once each: at the first op that reads
-V_K, one `take_rows` gives each example its context's rows (for the concat
-head, its pooled row), and on a tape it sums the gradients of the examples
-that share a context. A batch of distinct contexts, such as every training
-forward of one example, records no extra op. When nothing reads the last CNN
-layer's rows but the concat head's maxpool (no CFA step after that layer),
-the layer records its convolution alone and the head activates the pooled
-row of each context: one activation per context, not per token. This is
-exact for the activations in NONDECREASING, whose values never fall from one
-float to the next, so per column the max of act(x) is act of the max of x,
-bit for bit. Sigmoid can fall, so it keeps the activate-then-pool order. The
-backward sends a column's gradient to the first row of largest input rather
-than of largest output; these differ only where the activation maps two
-inputs to one value: saturated tanh or relu's zeros, whose gradient is zero,
-or inputs a few floats apart. On the tape the forward is
-what training runs, one example at a time through `Model.loss`, all from the
-step's taps; without a tape, `Model.logits_batch` runs it over chunks of up
-to SCORE_TOKENS rows in the widest layer (see _chunks).
+CFA scale and shift, the attention query) are (B, .) rows. A CNN layer is
+one convolution op for all its window sizes, with one product per window
+into its own column block of the layer's output. The first layer runs one
+way everywhere: `conv1d_tables` over ad.Taps, built from the current
+parameters. Per window, the taps hold the bias plus the position taps of
+every position signature a row can have, and each word's product with every
+word tap, so a row is one row of the first table plus one word row per tap,
+the terms of the per-tap sum in the same order. `Model.step_taps` builds
+every set of taps, its word taps from one `encode` call, whose vocab every
+token's row is read through: one set for all the examples of a training
+step, one per chunk of a scoring pass over position taps built once per
+pass, and one for any other forward's own examples. Layers 2 and up read the
+rows of the layer below through `conv1d_same`. Nothing before the first CFA
+step, the attention head or the concat with V_K reads the keywords, so a
+batch's distinct (tokens, anchor) contexts are encoded and convolved once
+each: at the first op that reads V_K, one `take_rows` gives each example its
+context's rows (for the concat head, its pooled row), and on a tape it sums
+the gradients of the examples that share a context. A batch of distinct
+contexts, such as every training forward of one example, records no extra
+op. When nothing reads the last CNN layer's rows but the concat head's
+maxpool (no CFA step after that layer), the layer records its convolution
+alone and the head activates the pooled row of each context: one activation
+per context, not per token. This is exact for the activations in
+NONDECREASING, whose values never fall from one float to the next, so per
+column the max of act(x) is act of the max of x, bit for bit. Sigmoid can
+fall, so it keeps the activate-then-pool order. The backward sends a
+column's gradient to the first row of largest input rather than of largest
+output; these differ only where the activation maps two inputs to one value:
+saturated tanh or relu's zeros, whose gradient is zero, or inputs a few
+floats apart. On the tape the forward is what training runs, one example at
+a time through `Model.loss`, all from the step's taps; without a tape,
+`Model.logits_batch` runs it over chunks of up to SCORE_TOKENS rows in the
+widest layer (see _chunks).
 
 Every parameter is initialized uniformly in [-0.1, 0.1] from a stream keyed
 by (seed, "init", parameter name), so two configs sharing a seed assign
@@ -299,18 +299,18 @@ class Model:
         into one matrix; see the module docstring. Training mode applies
         inverted dropout to R and requires an rng; eval mode is deterministic.
         `keys`, if given, holds each example's _context. `taps` runs layer 1:
-        a training step's (step_taps), whose words cover these examples, or a
-        scoring pass's position taps, which get these examples' word taps;
-        without them, layer 1 runs from taps built for these examples alone.
-        Either way each token's row is read through the taps' vocab. Building
-        taps refuses an anchor outside its sentence with ValueError."""
+        a training step's, whose words cover these examples, or a scoring
+        pass's position taps, to which step_taps adds these examples' word
+        taps; without them, step_taps builds taps for these examples alone.
+        Each token's row is read through the taps' vocab. Building taps
+        refuses an anchor outside its sentence with ValueError."""
         cfg, p = self.config, self.params
         conv_act = ACTIVATIONS[cfg.conv_act]
         contexts, ctx = _contexts(examples, keys)
         lengths, anchors = _lengths_anchors(contexts)
         tokens = [t for ex in contexts for t in ex.tokens]
         if taps is None or taps.vocab is None:
-            taps = self._taps_for(tokens, lengths, anchors, taps)
+            taps = self.step_taps(contexts, taps)
         # layer 1 reads each token's row among the taps' words
         h = np.fromiter(map(taps.vocab.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         v_k = keyword_repr([ex.keywords for ex in examples], self.emb, self.words)
@@ -356,24 +356,20 @@ class Model:
         return ad.Taps(self._layer_windows(1), self.params["pos.table"],
                        -int(np.max(anchors)), int(np.max(np.subtract(lengths, anchors))) - 1)
 
-    def _taps_for(self, tokens, lengths, anchors, taps=None) -> ad.Taps:
-        """Layer 1's taps for packed sentences: `taps` (position taps over
-        their offsets if None) plus the word taps of their distinct tokens,
-        which `encode` looks up. An anchor outside its sentence raises
-        ValueError."""
+    def step_taps(self, examples, positions=None) -> ad.Taps:
+        """Layer 1's taps for `examples`, from the current parameters:
+        `positions` (position taps over their offsets if None) plus the word
+        taps of their distinct tokens from one `encode` call, 11 KB per word
+        at the default windows and filters. Every set of taps is built here:
+        a training step's, which every example's forward_batch(taps=...)
+        reads and whose first `.grad` read sums the layer-1 gradient of all;
+        a scoring chunk's; and a stand-alone forward's. An anchor outside
+        its sentence raises ValueError."""
+        lengths, anchors = _lengths_anchors(examples)
         check_anchors(anchors, lengths)
-        taps = taps or self._position_taps(lengths, anchors)
-        return taps.with_words(*encode(tokens, self.emb, self.words))
-
-    def step_taps(self, examples) -> ad.Taps:
-        """Layer 1's taps for one training step over `examples`, from the
-        current parameters: position taps over their offsets and the word
-        taps of their distinct tokens, 11 KB per word at the default windows
-        and filters. Every example's forward_batch(taps=...) then reads
-        them, and a first `.grad` read sums the layer-1 gradient of all."""
-        contexts, _ = _contexts(examples)
-        return self._taps_for([t for ex in contexts for t in ex.tokens],
-                              *_lengths_anchors(contexts))
+        positions = positions or self._position_taps(lengths, anchors)
+        return positions.with_words(*encode([t for ex in examples for t in ex.tokens],
+                                            self.emb, self.words))
 
     def forward(self, example, train: bool = False, rng=None,
                 aux: dict | None = None, taps=None) -> Tensor:

@@ -7,7 +7,7 @@ apart from the clamp of ad.Taps that it checks."""
 import numpy as np
 
 from lfked import autodiff as ad
-from lfked.encoding import encode, word_rows
+from lfked.encoding import encode
 
 
 def position_table(dim, max_offset, rng):
@@ -53,7 +53,8 @@ def input_rows(tokens, lengths, anchors, emb, positions, words=None):
     read through `words` on the tape: what conv1d_same convolves in the
     reference layer 1, with gradients into both tables."""
     by_offset, (_, index) = lookups(tokens, lengths, anchors, emb, positions, words)
-    vectors = word_rows(list(dict.fromkeys(tokens)), emb, words)
+    distinct = list(dict.fromkeys(tokens))
+    vectors = ad.Tensor(emb.rows(distinct)) if words is None else words.rows(distinct)
     return gathered([by_offset, (vectors, index)])
 
 

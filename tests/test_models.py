@@ -676,6 +676,33 @@ def test_step_taps_are_built_once_per_step_and_never_stale(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", ["attention-cfa", "finetune-words"])
+def test_step_taps_of_repeated_contexts_are_those_of_their_first_occurrences(case):
+    # A repeated context brings no token its first occurrence did not bring
+    # first, and no new offset or anchor, so grouping a step's examples by
+    # context could not change its taps.
+    model, batch = case_model(case), shared_batch()
+    firsts = {}
+    for ex in batch:
+        firsts.setdefault((tuple(ex.tokens), ex.anchor), ex)
+    distinct = list(firsts.values())
+    assert 1 < len(distinct) < len(batch)
+    got, want = model.step_taps(batch), model.step_taps(distinct)
+
+    def bits(arrays):
+        return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+    assert list(got.vocab.items()) == list(want.vocab.items())
+    assert got.reach == want.reach
+    assert bits([got.vectors]) == bits([want.vectors])
+    for g, w in zip(got.tables, want.tables, strict=True):
+        assert g[:2] == w[:2] and bits(g[2:]) == bits(w[2:])
+    assert bits(got.products) == bits(want.products)
+    if case == "finetune-words":
+        assert got.trained[0] is want.trained[0]
+        assert bits(got.trained[1:]) == bits(want.trained[1:])
+
+
+@pytest.mark.parametrize("case", ["attention-cfa", "finetune-words"])
 def test_taped_forward_with_position_taps_keeps_layer_one_gradients(case):
     # A scoring pass's position taps passed to a taped forward_batch give
     # every parameter the gradient that taps built for the batch alone give.
